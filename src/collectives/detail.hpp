@@ -103,6 +103,15 @@ inline void write_matrices(pgas::ThreadCtx& ctx, CollectiveContext& cc,
                            const CollectiveOptions& opt) {
   const int s = ctx.nthreads();
   const int me = ctx.id();
+  // A shrink since this thread's last publish (see cc.last_gen): a nonzero
+  // sentinel makes this pass (flat put loop and hierarchical degenerate
+  // check alike) republish every entry of the row, zeros included, after
+  // which cache and matrices are coherent again.
+  const std::uint64_t gen = ctx.runtime().promotion_generation();
+  if (cc.last_gen[static_cast<std::size_t>(me)] != gen) {
+    cc.last_gen[static_cast<std::size_t>(me)] = gen;
+    for (auto& c : cc.last_cnt[static_cast<std::size_t>(me)]) c = 1;
+  }
   if (!opt.hierarchical) {
     // The matrices persist across calls, so a (requester, owner) pair
     // whose batch is empty now and was empty on the previous call can

@@ -1,7 +1,6 @@
 #include "graph/io.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -9,10 +8,6 @@
 #include <string>
 
 namespace pgraph::graph {
-
-namespace {
-constexpr std::uint64_t kBinMagic = 0x5047524148303031ULL;  // "PGRAH001"
-}
 
 void write_dimacs(std::ostream& os, const EdgeList& el) {
   os << "c pgas-graph edge list\n";
@@ -83,36 +78,6 @@ EdgeList read_dimacs(std::istream& is) {
 
 WEdgeList read_dimacs_weighted(std::istream& is) {
   return read_dimacs_impl<WEdgeList, true>(is);
-}
-
-void write_binary(const std::string& path, const WEdgeList& el) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("write_binary: cannot open " + path);
-  const std::uint64_t n = el.n, m = el.m();
-  os.write(reinterpret_cast<const char*>(&kBinMagic), sizeof(kBinMagic));
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  os.write(reinterpret_cast<const char*>(el.edges.data()),
-           static_cast<std::streamsize>(m * sizeof(WEdge)));
-  if (!os) throw std::runtime_error("write_binary: write failed");
-}
-
-WEdgeList read_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("read_binary: cannot open " + path);
-  std::uint64_t magic = 0, n = 0, m = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  is.read(reinterpret_cast<char*>(&m), sizeof(m));
-  if (!is || magic != kBinMagic)
-    throw std::runtime_error("read_binary: bad header in " + path);
-  WEdgeList el;
-  el.n = n;
-  el.edges.resize(m);
-  is.read(reinterpret_cast<char*>(el.edges.data()),
-          static_cast<std::streamsize>(m * sizeof(WEdge)));
-  if (!is) throw std::runtime_error("read_binary: truncated file " + path);
-  return el;
 }
 
 }  // namespace pgraph::graph

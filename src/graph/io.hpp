@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "graph/edge_list.hpp"
 
@@ -16,10 +15,5 @@ void write_dimacs(std::ostream& os, const EdgeList& el);
 void write_dimacs(std::ostream& os, const WEdgeList& el);
 EdgeList read_dimacs(std::istream& is);
 WEdgeList read_dimacs_weighted(std::istream& is);
-
-/// Compact binary format (magic + n + m + raw edge records), for caching
-/// large generated graphs between bench runs.
-void write_binary(const std::string& path, const WEdgeList& el);
-WEdgeList read_binary(const std::string& path);
 
 }  // namespace pgraph::graph

@@ -66,52 +66,4 @@ class CacheSim {
   std::uint64_t misses_ = 0;
 };
 
-/// Two-level inclusive hierarchy (L1 + L2): an access probes L1; on an L1
-/// miss it probes L2; on an L2 miss it fills both.  Used to study where
-/// the t' sub-blocking should aim ("the block fits into a certain level
-/// cache hierarchy (e.g. L2)", Section IV) — small t' blocks that fit L1
-/// stop paying even the L2 hit cost.
-class CacheHierarchy {
- public:
-  CacheHierarchy(std::size_t l1_bytes, std::size_t l1_assoc,
-                 std::size_t l2_bytes, std::size_t l2_assoc,
-                 std::size_t line_bytes)
-      : l1_(l1_bytes, line_bytes, l1_assoc),
-        l2_(l2_bytes, line_bytes, l2_assoc) {}
-
-  /// Returns the level that served the access: 1, 2, or 3 (memory).
-  int access(std::uint64_t addr) {
-    if (l1_.access(addr)) return 1;
-    if (l2_.access(addr)) return 2;
-    return 3;
-  }
-
-  std::uint64_t l1_hits() const { return l1_.hits(); }
-  std::uint64_t l2_hits() const { return l2_.hits(); }
-  std::uint64_t memory_accesses() const { return l2_.misses(); }
-  std::uint64_t accesses() const { return l1_.accesses(); }
-
-  /// Average access time under a simple 3-level latency vector.
-  double amat_ns(double l1_ns, double l2_ns, double mem_ns) const {
-    if (accesses() == 0) return 0.0;
-    const double a = static_cast<double>(accesses());
-    return (static_cast<double>(l1_hits()) * l1_ns +
-            static_cast<double>(l2_hits()) * l2_ns +
-            static_cast<double>(memory_accesses()) * mem_ns) /
-           a;
-  }
-
-  void reset() {
-    l1_.reset();
-    l2_.reset();
-  }
-
-  const CacheSim& l1() const { return l1_; }
-  const CacheSim& l2() const { return l2_; }
-
- private:
-  CacheSim l1_;
-  CacheSim l2_;
-};
-
 }  // namespace pgraph::machine

@@ -492,6 +492,7 @@ bool Runtime::try_shrink_after_exhaustion(
   // all of them); live node count drops by one.
   topo_.remap_node(lost, buddy);
   thread_node_ = topo_.thread_node_map();
+  ++promotion_gen_;
   fault_->count_promoted(promoted);
   fault_->raise_loss_event();
   loss_throw_epoch_ = epoch_;

@@ -321,6 +321,14 @@ class Runtime {
   void mark_replicas_valid() {
     replicas_valid_.store(true, std::memory_order_release);
   }
+  /// Promotion generation: bumped each time the shrink protocol restores
+  /// replicated arrays from their buddy mirrors.  Host-side caches that
+  /// vouch for the contents of a replicated array (the collectives'
+  /// degenerate-batch skip cache) compare it to learn that the bytes under
+  /// them changed, so no caller has to remember to invalidate them.
+  /// Written only in a barrier completion step, so SPMD threads read it
+  /// race-free after any barrier.
+  std::uint64_t promotion_generation() const { return promotion_gen_; }
 
   /// --- at-rest integrity (scrub protocol, docs/ROBUSTNESS.md) ----------
   /// Collective chunked scrubber: every thread re-walks its partitions of
@@ -475,6 +483,8 @@ class Runtime {
   /// throw FaultError{PermanentLoss} so checkpointing algorithms roll
   /// back.  ~0 means "no shrink pending".
   std::uint64_t loss_throw_epoch_ = ~0ull;
+  /// See promotion_generation().
+  std::uint64_t promotion_gen_ = 0;
   /// Set when a shrink was refused because a buddy mirror failed its
   /// checksum validation; the collective failure throw is then
   /// FaultError{MemoryCorrupt} instead of RetryExhausted, so the operator

@@ -224,11 +224,6 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
       rt_.run(spmd);
       break;
     } catch (const fault::FaultError& fe) {
-      // The unwound collective may leave smatrix desynced from the
-      // skip cache (a shrink restores the lost node's rows outright);
-      // force a full matrix republish whether we retry here or the
-      // caller does.
-      cc_.invalidate_skip_cache();
       if (fe.kind() != fault::FaultKind::PermanentLoss || attempt > 0) throw;
       // The shrink promoted the published mirrors (live labels and the
       // snapshot ring are back to the last published epoch, the stores
@@ -400,7 +395,6 @@ BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
       st.iterations = inc.iterations;
       st.maintain = inc.costs;
     } catch (const fault::FaultError& fe) {
-      cc_.invalidate_skip_cache();
       // A permanent node loss shrank the topology mid-pass and promoted
       // the pre-batch mirrors; recompute over the survivors.
       if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
@@ -424,7 +418,6 @@ void DynamicGraph::publish_recover(BatchStats& st) {
   try {
     publish(st);
   } catch (const fault::FaultError& fe) {
-    cc_.invalidate_skip_cache();
     if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
     // The shrink mid-publish reverted the lost node's slice of the live
     // labels to the previous epoch's mirror; recompute from the (intact,
@@ -547,11 +540,6 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
       rt_.run(spmd);
       break;
     } catch (const fault::FaultError& fe) {
-      // Promotion also restored smatrix/pmatrix rows from checkpoint-time
-      // mirrors, so the host-side skip cache can no longer vouch for
-      // remote zeros; republish the full matrix on the next collective
-      // (here on retry, or in the caller's retry after a rethrow).
-      cc_.invalidate_skip_cache();
       if (fe.kind() != fault::FaultKind::PermanentLoss || attempt > 0) throw;
       // Promotion restored the published mirrors, so the snapshot ring on
       // the survivors is exactly what publish() wrote; one retry serves

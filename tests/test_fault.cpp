@@ -1,6 +1,7 @@
 // Deterministic fault injection and the recovery machinery it exercises:
 // retry/backoff in the exchange phase, checksum-validate-retransmit in the
-// collectives, and checkpoint/restart in cc_coalesced / mst_pgas.  The
+// collectives, and checkpoint/restart in cc_coalesced / mst_pgas (the
+// shared superstep recovery driver).  The
 // FaultChaos tests are the acceptance gate of docs/ROBUSTNESS.md: under a
 // seeded fault plan the algorithms must produce bit-identical results to a
 // fault-free run, at a (bounded) higher modeled cost.
@@ -12,6 +13,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "collectives/getd.hpp"
@@ -21,7 +24,9 @@
 #include "core/mst_pgas.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
+#include "graph/stats.hpp"
 #include "machine/cost_params.hpp"
+#include "partition/partitioning.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/replica.hpp"
 #include "pgas/runtime.hpp"
@@ -32,6 +37,7 @@ namespace m = pgraph::machine;
 namespace core = pgraph::core;
 namespace coll = pgraph::coll;
 namespace flt = pgraph::fault;
+namespace part = pgraph::partition;
 
 namespace {
 
@@ -561,6 +567,94 @@ TEST(FaultChaos, ZeroLossPlanLeavesCcModeledTimeUnchanged) {
   EXPECT_EQ(inj.counters().replications, 0u);
   EXPECT_EQ(inj.counters().checkpoints, 0u);
 }
+
+// --- loss-epoch sweep ----------------------------------------------------
+//
+// A permanent loss at every epoch from the first superstep to past
+// convergence, per kernel x topology x partitioning: the recovered answer
+// must equal the fault-free one bit for bit.  The single-epoch tests above
+// sample one point of this space; the shrink can land anywhere (mid-getd,
+// mid-jump, on a replication barrier), and each landing point takes its own
+// path through promotion, rollback and the collectives' skip cache.
+
+namespace {
+
+struct LossSweepCase {
+  bool mst;
+  int threads_per_node;
+  bool degree;
+};
+
+// Printed values name the ctest cases (no raw padding bytes).
+std::ostream& operator<<(std::ostream& os, const LossSweepCase& c) {
+  return os << (c.mst ? "mst" : "cc") << "_4x" << c.threads_per_node
+            << (c.degree ? "_degree" : "_block");
+}
+
+class LossEpochSweep : public testing::TestWithParam<LossSweepCase> {};
+
+}  // namespace
+
+TEST_P(LossEpochSweep, BitIdenticalAtEveryEpoch) {
+  const LossSweepCase& c = GetParam();
+  const auto el = g::random_graph(256, 1024, 15);
+  const auto wel = g::with_random_weights(g::random_graph(256, 1024, 16), 17);
+  part::PartitionSpec spec;  // block
+  if (c.degree) {
+    ASSERT_EQ(part::PartitionSpec::parse("degree", spec), "");
+    spec = spec.with_degrees(
+        g::degree_histogram(c.mst ? wel.unweighted() : el));
+  }
+
+  core::ParCCResult clean_cc;
+  core::ParMstResult clean_mst;
+  {
+    pg::Runtime rt(pg::Topology::cluster(4, c.threads_per_node),
+                   m::CostParams::hps_cluster());
+    rt.set_partition_spec(spec);
+    if (c.mst) {
+      clean_mst = core::mst_pgas(rt, wel, {});
+      std::sort(clean_mst.edges.begin(), clean_mst.edges.end());
+    } else {
+      clean_cc = core::cc_coalesced(rt, el, {});
+    }
+  }
+
+  std::uint64_t shrinks = 0;
+  for (int at = 2; at <= 80; ++at) {
+    SCOPED_TRACE("loss_at=" + std::to_string(at) + " fault seed " +
+                 std::to_string(chaos_seed()));
+    flt::FaultInjector inj(flt::FaultConfig::parse(
+        "loss_at=" + std::to_string(at), chaos_seed()));
+    pg::Runtime rt(pg::Topology::cluster(4, c.threads_per_node),
+                   m::CostParams::hps_cluster());
+    rt.set_partition_spec(spec);
+    rt.set_fault_injector(&inj);
+    if (c.mst) {
+      auto got = core::mst_pgas(rt, wel, {});
+      std::sort(got.edges.begin(), got.edges.end());
+      EXPECT_EQ(got.total_weight, clean_mst.total_weight);
+      EXPECT_EQ(got.edges, clean_mst.edges);
+    } else {
+      EXPECT_EQ(core::cc_coalesced(rt, el, {}).labels, clean_cc.labels);
+    }
+    EXPECT_LE(inj.counters().loss_events, 1u);
+    shrinks += inj.counters().loss_events;
+  }
+  // The sweep must actually exercise the shrink path, not just run past it.
+  EXPECT_GT(shrinks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultChaos, LossEpochSweep,
+    testing::Values(LossSweepCase{false, 2, false},
+                    LossSweepCase{false, 2, true},
+                    LossSweepCase{false, 4, false},
+                    LossSweepCase{false, 4, true},
+                    LossSweepCase{true, 2, false},
+                    LossSweepCase{true, 2, true},
+                    LossSweepCase{true, 4, false},
+                    LossSweepCase{true, 4, true}));
 
 // --- collective exhaustion leaves the runtime reusable -------------------
 //

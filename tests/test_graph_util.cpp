@@ -1,7 +1,6 @@
 // CSR, I/O, edge chunking.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 
 #include "graph/csr.hpp"
@@ -98,18 +97,3 @@ TEST(Io, DimacsRejectsMalformed) {
   }
 }
 
-TEST(Io, BinaryRoundTrip) {
-  const auto el = g::with_random_weights(g::random_graph(80, 200, 5), 6);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pgraph_io_test.bin")
-          .string();
-  g::write_binary(path, el);
-  const auto back = g::read_binary(path);
-  EXPECT_EQ(back.n, el.n);
-  EXPECT_EQ(back.edges, el.edges);
-  std::filesystem::remove(path);
-}
-
-TEST(Io, BinaryRejectsBadFile) {
-  EXPECT_THROW(g::read_binary("/nonexistent/nope.bin"), std::runtime_error);
-}
