@@ -11,8 +11,9 @@
 #   asan     -fsanitize=address,undefined build + ctest
 #   lint     scripts/lint_spmd.py (SPMD-discipline static lint; self-test
 #            first, then the tree against scripts/lint_spmd_allow.txt),
-#            plus clang-tidy over src/tests/examples (skipped if not
-#            installed)
+#            a -DPGRAPH_WERROR=ON build of every target (libraries, tests,
+#            benches, examples) in build-werror/, plus clang-tidy over
+#            src/tests/examples (skipped if not installed)
 #   ubsan    -fsanitize=undefined (non-recoverable) build; collectives,
 #            fault and stream test binaries under it
 #   perf     traced smoke bench + bench_diff.py vs the committed baseline
@@ -90,6 +91,10 @@ for stage in "${STAGES[@]}"; do
       else
         echo "==== [lint] python3 not found on PATH; skipping SPMD lint ===="
       fi
+      echo "==== [lint] warnings-as-errors build (PGRAPH_WERROR=ON) ===="
+      cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DPGRAPH_WERROR=ON
+      cmake --build build-werror -j "$JOBS"
       if command -v clang-tidy > /dev/null 2>&1; then
         echo "==== [lint] clang-tidy ===="
         cmake --preset default

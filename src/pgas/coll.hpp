@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "machine/phase_stats.hpp"
 #include "pgas/runtime.hpp"
@@ -96,6 +98,35 @@ T exscan_sum(ThreadCtx& ctx, T v, T* total = nullptr,
   ctx.compute(static_cast<std::size_t>(ctx.nthreads()), c);
   ctx.barrier();
   return acc;
+}
+
+/// All-gather a variable-length contribution from every thread: `out`
+/// receives the concatenation of all threads' `mine` in thread-id order, on
+/// every thread.  Priced as one coalesced exchange phase: a thread ships its
+/// contribution once to every other live node (that node's threads share
+/// the landed buffer, and same-node peers read it in place), then streams
+/// the gathered array.  The messages go through the exchange sweep, so
+/// fault drops, retries and permanent loss behave as in any other exchange.
+template <class T>
+void allgatherv(ThreadCtx& ctx, std::span<const T> mine, std::vector<T>& out,
+                machine::Cat c = machine::Cat::Comm) {
+  std::span<const T> local = mine;  // keep alive across the barriers
+  ctx.publish(kCollSlot, &local);
+  if (!mine.empty()) {
+    const int p = ctx.nnodes();
+    for (int step = 1; step < p; ++step) {
+      const int leader = ctx.topo().leader_of_node((ctx.node() + step) % p);
+      if (leader >= 0) ctx.post_exchange_msg(leader, mine.size_bytes());
+    }
+  }
+  ctx.exchange_barrier();
+  out.clear();
+  for (int i = 0; i < ctx.nthreads(); ++i) {
+    const auto* part = ctx.peer_as<std::span<const T>>(i, kCollSlot);
+    out.insert(out.end(), part->begin(), part->end());
+  }
+  ctx.mem_seq(out.size() * sizeof(T), c);
+  ctx.barrier();  // nobody reuses the slot until all have read
 }
 
 }  // namespace pgraph::pgas

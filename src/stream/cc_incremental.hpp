@@ -14,31 +14,50 @@ namespace pgraph::stream {
 
 /// Result of one incremental maintenance pass.
 struct IncrementalResult {
-  int iterations = 0;  ///< graft+jump rounds until no fresh edge grafted
+  /// Label-resolution supersteps: 1 when no fresh edge joined two
+  /// components (the pass stopped after the endpoint label read), 2 when
+  /// it grafted and ran the resolve-and-relabel superstep.
+  int iterations = 0;
   core::RunCosts costs;
 };
 
 /// Incremental connectivity maintenance: fold a batch of freshly inserted
-/// edges into an existing canonical labeling.
+/// edges into an existing canonical labeling in one superstep.
 ///
 /// Precondition: `d` holds the canonical CC labels of the pre-batch graph
 /// — every vertex labeled with the minimum vertex id of its component,
-/// i.e. exactly the fixed point `cc_coalesced` converges to.  The pass
-/// runs the same batched hook-and-shortcut loop as `cc_coalesced`
-/// (GetD endpoint labels, graft larger root under smaller via SetD,
-/// lock-step pointer jumping to rooted stars) but over ONLY the fresh
-/// edges: components untouched by the batch cost nothing beyond the
-/// degenerate-batch floor of the collectives.
+/// i.e. exactly the fixed point `cc_coalesced` converges to.  The labels
+/// are rooted stars, so the pass never pointer-jumps:
 ///
-/// Bit-identity: the canonical min-id labeling of a graph is unique, and
-/// grafting the fresh edges into the old stars converges to the canonical
-/// labeling of the union graph — so after this pass `d` is bit-identical
-/// to a fresh `cc_coalesced` run over the materialized edge set.
-/// Deletions are NOT handled here (they can split components); callers
-/// route deletion batches through the full-rebuild fallback.
+///  1. graft — GetD both endpoint labels of every fresh edge (all Section
+///     V optimizations of `opt.coll` apply).  Each label is a root; an
+///     edge with different labels yields a (larger root, smaller root)
+///     pair.  An all-reduce stops a batch with no pair right here, at the
+///     cost of the two GetDs and the all-reduce.
+///  2. resolve — `pgas::allgatherv` replicates the pairs (the root-level
+///     delta graph, at most one pair per fresh edge) in one coalesced
+///     exchange, and every thread runs the same min-root union-find over
+///     them: a sorted map from each merged root to its group's smallest
+///     root.  Charged as the exchange plus a streamed read of the pairs
+///     and P log P work for P gathered words.
+///  3. relabel — every thread rewrites its own slice in one streamed scan
+///     (a streamed read and write of the slice, one probe per element into
+///     the replicated map over the map's working set), noting each write
+///     in the integrity checksum when `d` is scrub-tracked, then one
+///     barrier.
 ///
-/// `opt.coll` drives the collectives (all Section V optimizations apply);
-/// `opt.compact` drops fresh edges once their endpoints share a label.
+/// Components untouched by the batch cost only the degenerate-batch floor
+/// of the collectives plus the relabel scan.
+///
+/// Bit-identity: the canonical min-id labeling of a graph is unique.  A
+/// merged group's minimum root is the minimum vertex id of the union of
+/// its components, so after this pass `d` is bit-identical to a fresh
+/// `cc_coalesced` run over the materialized edge set.  Deletions are NOT
+/// handled here (they can split components); callers route deletion
+/// batches through the full-rebuild fallback.
+///
+/// Only `opt.coll` applies: `opt.compact` and `opt.max_iters` configure
+/// `cc_coalesced`'s iterative loop, which this pass does not have.
 /// A buddy-replication pass runs first (no-op without a loss plan), so a
 /// permanent node loss mid-pass shrinks onto pre-batch mirrors and
 /// surfaces as FaultError{PermanentLoss} for the caller's rebuild path.

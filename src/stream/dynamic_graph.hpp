@@ -30,7 +30,7 @@ struct BatchStats {
   std::size_t dirty_components = 0;  ///< distinct components hit by erases
                                      ///< (per-owner distinct, summed)
   bool rebuilt = false;  ///< maintenance fell back to a full recompute
-  int iterations = 0;    ///< graft+jump rounds (or cc_coalesced iterations)
+  int iterations = 0;    ///< incremental supersteps, or rebuild iterations
   std::uint64_t certify_checks = 0;    ///< publish re-digest comparisons
   std::uint64_t certify_failures = 0;  ///< re-digest mismatches (pre-throw)
   core::RunCosts ingest;    ///< routing updates to their owner threads

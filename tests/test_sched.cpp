@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "graph/rng.hpp"
 #include "machine/cache_sim.hpp"
@@ -68,6 +69,16 @@ struct GatherCase {
   std::size_t n, mreq;
   std::vector<std::size_t> ws;
 };
+
+// Names the case by its fields (e.g. n1000_mreq5000_ws8x8), so the test IDs
+// are stable; gtest would otherwise print the raw object bytes, heap
+// pointers included.
+void PrintTo(const GatherCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_mreq" << c.mreq << "_ws";
+  if (c.ws.empty()) *os << "none";
+  for (std::size_t i = 0; i < c.ws.size(); ++i)
+    *os << (i > 0 ? "x" : "") << c.ws[i];
+}
 
 class ScheduledGatherP : public ::testing::TestWithParam<GatherCase> {};
 

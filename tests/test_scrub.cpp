@@ -25,12 +25,14 @@
 #include "pgas/global_array.hpp"
 #include "pgas/replica.hpp"
 #include "pgas/runtime.hpp"
+#include "stream/cc_incremental.hpp"
 
 namespace g = pgraph::graph;
 namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
 namespace core = pgraph::core;
 namespace flt = pgraph::fault;
+namespace strm = pgraph::stream;
 
 namespace {
 
@@ -290,6 +292,52 @@ TEST(ScrubChaos, MstFlipDetectedRepairedBitIdentical) {
   const auto cert = g::certify_mst(el, chaotic.edges, chaotic.total_weight,
                                    chaos_seed(), /*cycle_samples=*/64);
   EXPECT_TRUE(cert.ok) << cert.detail;
+}
+
+TEST(ScrubChaos, IncrementalRelabelNotesEveryWrite) {
+  // cc_incremental's relabel rewrites the own label slice in place, and
+  // every write is a checksum commit point (integrity_note).  With the
+  // label array scrub-tracked, a scrub pass after a grafting batch must
+  // compare clean, and the labels must match a fresh cc_coalesced.
+  const auto base = g::random_graph(300, 180, chaos_seed());
+  flt::FaultInjector inj(
+      flt::FaultConfig::parse("mem_flip_at=0", chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  const auto pre = core::cc_coalesced(rt, base, {});
+  pg::GlobalArray<std::uint64_t> d(rt, base.n);
+  for (std::size_t i = 0; i < base.n; ++i) d.raw(i) = pre.labels[i];
+  d.set_scrubbed(true);
+  const auto scrub_pass = [&] {
+    rt.run([&](pg::ThreadCtx& ctx) { rt.scrub(ctx); });
+  };
+  scrub_pass();  // records the baseline checksums
+
+  // Fresh edges between distinct components, drawn from the chaos seed.
+  std::vector<g::Edge> fresh;
+  std::mt19937_64 rng(chaos_seed());
+  while (fresh.size() < 24) {
+    const g::VertexId u = rng() % base.n;
+    const g::VertexId v = rng() % base.n;
+    if (pre.labels[u] != pre.labels[v]) fresh.push_back({u, v});
+  }
+  EXPECT_EQ(strm::cc_incremental(rt, d, fresh, {}).iterations, 2);
+  scrub_pass();
+  EXPECT_EQ(inj.counters().scrub_passes, 2u);
+  EXPECT_EQ(inj.counters().scrub_detected, 0u);
+
+  g::EdgeList merged = base;
+  merged.edges.insert(merged.edges.end(), fresh.begin(), fresh.end());
+  pg::Runtime ref = make_rt();
+  const auto want = core::cc_coalesced(ref, merged, {}).labels;
+  const auto got = d.raw_all();
+  EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want);
+
+  // Control: a write that bypasses the commit point is caught, so the
+  // clean pass above really compared the relabeled bytes.
+  d.raw(fresh.front().u) ^= 1;
+  EXPECT_THROW(scrub_pass(), flt::FaultError);
+  EXPECT_EQ(inj.counters().scrub_detected, 1u);
 }
 
 // --- promotion-time mirror validation ------------------------------------

@@ -74,7 +74,9 @@ void check_stream_bit_identity(const g::TemporalStream& ts,
   bool any_erase = false;
   for (const auto& u : ts.updates)
     any_erase |= u.kind == g::UpdateKind::Erase;
-  if (any_erase) EXPECT_GT(rebuilt, 0u);
+  if (any_erase) {
+    EXPECT_GT(rebuilt, 0u);
+  }
 }
 
 }  // namespace
@@ -271,6 +273,32 @@ TEST(StreamSpeedup, IncrementalBeatsRebuildOnSmallBatches) {
       << " ns vs rebuild " << rebuild_ns << " ns";
 }
 
+TEST(StreamSpeedup, GraftingBatchBeatsRebuild) {
+  // Sparse-base twin of the test above.  On a base of 0.6 n edges most
+  // vertices sit in small components, so the batch merges components and
+  // the bound times the resolve-and-relabel superstep, not only the
+  // endpoint label read.  Modeled, the one-superstep pass is 34x cheaper
+  // than the rebuild here; a graft-then-pointer-jump pass, which reads the
+  // parent of every vertex at least twice, is only 8x cheaper.
+  g::TemporalStreamParams p;
+  p.base_edges = 1800;
+  const auto ts = g::temporal_stream(3000, 18, 13, p);
+  pg::Runtime rt = make_rt();
+  strm::DynamicGraph dg(rt, ts.base);
+  const double rebuild_ns = dg.initial_build().maintain.modeled_ns;
+  ASSERT_GT(rebuild_ns, 0.0);
+  const std::uint64_t before = dg.num_components();
+
+  const auto st = dg.apply_batch(ts.updates);
+  EXPECT_FALSE(st.rebuilt);
+  EXPECT_EQ(st.iterations, 2);
+  EXPECT_LT(dg.num_components(), before) << "the batch merged nothing";
+  ASSERT_EQ(labels_of(dg), fresh_cc(dg.materialize()).labels);
+  EXPECT_GE(rebuild_ns, 15.0 * st.maintain.modeled_ns)
+      << "incremental maintain " << st.maintain.modeled_ns
+      << " ns vs rebuild " << rebuild_ns << " ns";
+}
+
 TEST(StreamRebuildPolicy, LargeBatchAndErasesTriggerRebuild) {
   g::TemporalStreamParams p;
   p.base_edges = 100;
@@ -373,6 +401,84 @@ TEST(StreamLoss, SnapshotRingSurvivesShrinkBitIdentical) {
   const auto st = dg.apply_batch(span(120, 0));
   EXPECT_EQ(st.epoch, dg.latest_epoch());
   ASSERT_EQ(labels_of(dg), fresh_cc(dg.materialize()).labels);
+}
+
+TEST(StreamLoss, GraftingBatchBitIdenticalAtEveryBarrier) {
+  // Sweep a permanent node loss over every barrier of one grafting
+  // insert-only batch: ingest, the endpoint GetDs, the pair all-gather,
+  // the relabel barrier and the publish.  Whichever of them the loss
+  // strikes, the labels after recovery and the answers served for the new
+  // epoch must be bit-identical to a fresh cc_coalesced, and the epoch
+  // published before the loss must still be served from the mirrors.
+  g::TemporalStreamParams p;
+  p.base_edges = 180;  // 0.6 n: many small components, so the batch grafts
+  const auto ts = g::temporal_stream(300, 60, 29, p);
+  const auto span = [&](std::size_t at, std::size_t len) {
+    return std::span<const g::EdgeUpdate>(ts.updates).subspan(at, len);
+  };
+
+  // Probe the runtime-epoch window of the second batch with an armed loss
+  // plan that never fires.
+  std::uint64_t e1 = 0, e2 = 0;
+  {
+    flt::FaultInjector probe(flt::FaultConfig::parse(
+        "loss_at=1000000000,loss_node=2", chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&probe);
+    strm::DynamicGraph dg(rt, ts.base);
+    dg.apply_batch(span(0, 30));
+    e1 = rt.epoch();
+    const auto st = dg.apply_batch(span(30, 30));
+    e2 = rt.epoch();
+    ASSERT_FALSE(st.rebuilt);
+    ASSERT_EQ(st.iterations, 2) << "the swept batch must graft";
+  }
+  ASSERT_GT(e2, e1 + 2);
+
+  for (std::uint64_t at = e1 + 1; at <= e2; ++at) {
+    SCOPED_TRACE("loss_at=" + std::to_string(at));
+    flt::FaultInjector inj(flt::FaultConfig::parse(
+        "loss_at=" + std::to_string(at) + ",loss_node=2", chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&inj);
+    strm::DynamicGraph dg(rt, ts.base);
+    const auto served_as = [&](std::uint64_t epoch,
+                               const std::vector<std::uint64_t>& want) {
+      strm::QueryBatch q;
+      q.epoch = epoch;
+      for (g::VertexId u = 0; u + 7 < dg.num_vertices(); u += 3)
+        q.same_component.push_back({u, u + 7});
+      for (g::VertexId u = 0; u < dg.num_vertices(); u += 4)
+        q.component_size.push_back(u);
+      const auto r = dg.query(q);
+      ASSERT_EQ(r.epoch, epoch);
+      std::vector<std::uint64_t> size(dg.num_vertices(), 0);
+      for (const auto lbl : want) ++size[lbl];
+      for (std::size_t i = 0; i < q.same_component.size(); ++i) {
+        const auto [u, v] = q.same_component[i];
+        EXPECT_EQ(r.same[i] != 0, want[u] == want[v]) << epoch << " " << i;
+      }
+      for (std::size_t i = 0; i < q.component_size.size(); ++i)
+        EXPECT_EQ(r.size[i], size[want[q.component_size[i]]])
+            << epoch << " " << i;
+    };
+
+    dg.apply_batch(span(0, 30));  // epoch 1, fault-free
+    const auto truth1 = fresh_cc(dg.materialize()).labels;
+    dg.apply_batch(span(30, 30));  // epoch 2, the loss strikes inside
+    const auto truth2 = fresh_cc(dg.materialize()).labels;
+    ASSERT_EQ(labels_of(dg), truth2);
+    served_as(1, truth1);
+    served_as(2, truth2);
+
+    // A loss on one of the last barriers surfaces at the next exchange.
+    dg.apply_batch(span(60, 0));  // epoch 3, no updates
+    EXPECT_EQ(inj.counters().loss_events, 1u);
+    EXPECT_EQ(rt.topo().live_node_count(), 3);
+    ASSERT_EQ(labels_of(dg), truth2);
+    served_as(2, truth2);
+    served_as(3, truth2);
+  }
 }
 
 TEST(StreamIngest, CountersAndDeterminism) {

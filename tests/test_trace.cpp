@@ -480,8 +480,9 @@ TEST(Tracer, NoteInstantExportsDedicatedTrackOnlyWhenPresent) {
     EXPECT_TRUE(name == "serve.breaker_open t0" ||
                 name == "serve.brownout_enter")
         << name;
-    if (name == "serve.breaker_open t0")
+    if (name == "serve.breaker_open t0") {
       EXPECT_DOUBLE_EQ(e["ts"].as_number(), 2e6 / 1e3);  // us on the track
+    }
   }
   EXPECT_EQ(instants, 2);
 }
