@@ -186,6 +186,8 @@ int main(int argc, char** argv) {
              {"service_ns", st.service_ns},
              {"publish_ns", st.publish_ns},
              {"agg_ns", st.agg_ns},
+             {"agg_full_passes", static_cast<double>(st.agg_full)},
+             {"agg_delta_passes", static_cast<double>(st.agg_delta)},
              {"verify_mismatches",
               static_cast<double>(st.verify_mismatches)}});
     t.add_row({label, std::to_string(st.offered),

@@ -38,9 +38,11 @@
 #            crashed extras gated on decrease) and a zero-fault
 #            resilience-off srv01 run gated bit-for-bit (--threshold 0)
 #            against the serve smoke baseline
-#   chaos    fault-injection suite (tests/test_fault.cpp) across fixed fault
+#   chaos    fault-injection suite (tests/test_fault.cpp) and every 'Loss'
+#            test (node-loss shrink, stream loss sweeps) across fixed fault
 #            seeds 1..3, in the default and check (PGRAPH_CHECK_ACCESS)
-#            presets, plus the zero-fault bench-invariance gate: a bench run
+#            presets, both once more under asan at seed 2, plus the
+#            zero-fault bench-invariance gate: a bench run
 #            with an attached all-zero fault plan must match the committed
 #            baseline bit-for-bit (--threshold 0)
 #   partition  partitioning-policy suite (tests/test_partition.cpp: the
@@ -245,31 +247,35 @@ EOF
       ;;
     chaos)
       echo "==== [chaos] fault-injection suite, seeds 1..3 ===="
+      # Every test binary with node-loss tests is built, so the 'Loss'
+      # filter below never runs a stale binary.
+      loss_targets="test_fault test_stream test_partition test_serve"
       for preset in default check; do
         cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target test_fault
+        cmake --build --preset "$preset" -j "$JOBS" --target $loss_targets
         for seed in 1 2 3; do
           echo "---- [chaos] preset=$preset fault seed=$seed ----"
           PGRAPH_CHAOS_SEED=$seed ctest --preset "$preset" \
             -R '^Fault' --output-on-failure -j "$JOBS"
         done
-      done
-      # Node-loss shrink matrix: the degraded-mode tests (buddy
-      # replication, topology shrink, bit-identical recovery on the 4x2
-      # cluster fixture) under each fault seed, called out separately so a
-      # loss-specific regression is attributable at a glance.
-      for seed in 1 2 3; do
-        echo "---- [chaos] node-loss shrink, fault seed=$seed ----"
-        PGRAPH_CHAOS_SEED=$seed ctest --preset default \
-          -R 'Loss' --output-on-failure -j "$JOBS"
+        # Node-loss shrink matrix: the degraded-mode tests (buddy
+        # replication, topology shrink, bit-identical recovery on the 4x2
+        # cluster fixture, the stream's loss sweeps) under each fault seed,
+        # called out separately so a loss-specific regression is
+        # attributable at a glance.
+        for seed in 1 2 3; do
+          echo "---- [chaos] node-loss shrink, preset=$preset fault seed=$seed ----"
+          PGRAPH_CHAOS_SEED=$seed ctest --preset "$preset" \
+            -R 'Loss' --output-on-failure -j "$JOBS"
+        done
       done
       # One chaos seed under asan: the shrink path moves ownership and
       # replays mirrors, exactly where lifetime bugs would hide.
-      echo "---- [chaos] fault suite under asan, seed=2 ----"
+      echo "---- [chaos] fault + node-loss suites under asan, seed=2 ----"
       cmake --preset asan
-      cmake --build --preset asan -j "$JOBS" --target test_fault
+      cmake --build --preset asan -j "$JOBS" --target $loss_targets
       PGRAPH_CHAOS_SEED=2 ctest --preset asan \
-        -R '^Fault' --output-on-failure -j "$JOBS"
+        -R '^Fault|Loss' --output-on-failure -j "$JOBS"
       if command -v python3 > /dev/null 2>&1; then
         echo "---- [chaos] zero-fault plan leaves bench times unchanged ----"
         cmake --build --preset default -j "$JOBS" \

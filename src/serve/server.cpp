@@ -329,6 +329,8 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
         const stream::QueryResult res = dg_.query(qb);
         service_ns += res.costs.modeled_ns;
         stats_.agg_ns += res.agg_ns;
+        stats_.agg_full += res.agg_full;
+        stats_.agg_delta += res.agg_delta;
         stats_.keys_sent +=
             qb.same_component.size() + qb.component_size.size();
         ++stats_.epoch_batches;
@@ -342,6 +344,8 @@ void QueryServer::execute_flush(Window& w, double start_ns) {
             const stream::QueryResult res = dg_.query(qb);
             service_ns += res.costs.modeled_ns;
             stats_.agg_ns += res.agg_ns;
+            stats_.agg_full += res.agg_full;
+            stats_.agg_delta += res.agg_delta;
             stats_.keys_sent +=
                 qb.same_component.size() + qb.component_size.size();
             ++stats_.epoch_batches;

@@ -100,6 +100,8 @@ struct ServeStats {
   double service_ns = 0.0;  ///< modeled time inside query flushes
   double publish_ns = 0.0;  ///< modeled time inside apply_batch
   double agg_ns = 0.0;      ///< lazy size-aggregation share of service_ns
+  std::uint64_t agg_full = 0;   ///< size aggregations by full SetDAdd pass
+  std::uint64_t agg_delta = 0;  ///< size aggregations rolled forward
   double first_arrival_ns = 0.0;
   double last_done_ns = 0.0;
   double makespan_ns = 0.0;

@@ -71,6 +71,7 @@ IncrementalResult cc_incremental(pgas::Runtime& rt,
   const coll::KnownElement known{0, 0};
 
   std::atomic<bool> grafted{false};
+  IncrementalResult r;
 
   rt.run([&](pgas::ThreadCtx& ctx) {
     pgas::TraceScope ts_pass(ctx, "stream.maintain");
@@ -146,9 +147,12 @@ IncrementalResult cc_incremental(pgas::Runtime& rt,
       ctx.compute(blk.size(), Cat::Work);
     }
     ctx.barrier();  // every slice relabeled before the labels are read
+    if (me == 0) {
+      r.merged = std::move(keys);
+      r.into = std::move(to);
+    }
   });
 
-  IncrementalResult r;
   r.iterations = grafted.load() ? 2 : 1;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

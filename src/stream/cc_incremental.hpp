@@ -19,6 +19,11 @@ struct IncrementalResult {
   /// it grafted and ran the resolve-and-relabel superstep.
   int iterations = 0;
   core::RunCosts costs;
+  /// The grafted-root map every thread resolved: the sorted roots that
+  /// stopped being roots and, slot for slot, the root each one merged
+  /// into.  Empty when no fresh edge joined two components.
+  std::vector<std::uint64_t> merged;
+  std::vector<std::uint64_t> into;
 };
 
 /// Incremental connectivity maintenance: fold a batch of freshly inserted

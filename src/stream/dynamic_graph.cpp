@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -58,6 +59,7 @@ DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
     sizes_[i] = std::make_unique<pgas::GlobalArray<std::uint64_t>>(
         rt_, n_, rt_.make_partitioning(n_));
   }
+  sizes_epoch_.fill(kNoEpoch);
 
   initial_.ops = base.edges.size();
   for (const graph::Edge& e : base.edges) {
@@ -372,7 +374,6 @@ void DynamicGraph::publish(BatchStats& st) {
   }
   snap_epoch_[slot] = epoch_;
   snap_valid_[slot] = true;
-  sizes_valid_[slot] = false;
   st.epoch = epoch_;
   st.publish = core::collect_costs(rt_, secs_since(t0));
 }
@@ -385,15 +386,20 @@ BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
   bool full = st.erased > 0 || st.dirty_components > 0 ||
               static_cast<double>(st.fresh_edges) >
                   opt_.rebuild_frac * static_cast<double>(live);
+  RootMap& map = maps_[(epoch_ + 1) % kEpochRing];
+  map.epoch = kNoEpoch;  // until the incremental pass resolves one
   if (!full) {
     std::vector<graph::Edge> fresh;
     fresh.reserve(st.fresh_edges);
     for (const auto& f : fresh_tls_)
       fresh.insert(fresh.end(), f.begin(), f.end());
     try {
-      const IncrementalResult inc = cc_incremental(rt_, d_, fresh, opt_.cc);
+      IncrementalResult inc = cc_incremental(rt_, d_, fresh, opt_.cc);
       st.iterations = inc.iterations;
       st.maintain = inc.costs;
+      map.epoch = epoch_ + 1;
+      map.merged = std::move(inc.merged);
+      map.into = std::move(inc.into);
     } catch (const fault::FaultError& fe) {
       // A permanent node loss shrank the topology mid-pass and promoted
       // the pre-batch mirrors; recompute over the survivors.
@@ -410,6 +416,7 @@ BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
 
 BatchStats DynamicGraph::republish() {
   BatchStats st;
+  sizes_epoch_[epoch_ % kEpochRing] = kNoEpoch;
   publish_recover(st);
   return st;
 }
@@ -421,13 +428,94 @@ void DynamicGraph::publish_recover(BatchStats& st) {
     if (fe.kind() != fault::FaultKind::PermanentLoss) throw;
     // The shrink mid-publish reverted the lost node's slice of the live
     // labels to the previous epoch's mirror; recompute from the (intact,
-    // host-side) edge stores and publish again.
+    // host-side) edge stores and publish again.  A rebuilt epoch keeps
+    // no root map.
+    maps_[epoch_ % kEpochRing].epoch = kNoEpoch;
     rebuild(st);
     publish(st);
   }
 }
 
-void DynamicGraph::compute_sizes(std::size_t slot) {
+bool DynamicGraph::compute_sizes(std::size_t slot) {
+  const std::uint64_t e = snap_epoch_[slot];
+  const std::uint64_t from = sizes_epoch_[slot];
+  // Roll forward only from older sizes aggregated on this topology, and
+  // only through a root map for every epoch since.
+  bool roll = from < e && sizes_gen_[slot] == rt_.promotion_generation();
+  for (std::uint64_t ep = from + 1; roll && ep <= e; ++ep)
+    roll = maps_[ep % kEpochRing].epoch == ep;
+  // Nothing is held while a pass writes the array: a pass cut short by a
+  // permanent loss leaves it half-written, and the retry must not roll.
+  sizes_epoch_[slot] = kNoEpoch;
+  if (roll)
+    roll_sizes(slot, from);
+  else
+    full_sizes(slot);
+  sizes_epoch_[slot] = e;
+  sizes_gen_[slot] = rt_.promotion_generation();
+  return roll;
+}
+
+void DynamicGraph::roll_sizes(std::size_t slot, std::uint64_t from) {
+  // Compose the chain's maps, oldest first, into one old-root -> final-root
+  // map.  Every link is an insert-only epoch, so roots only merge: a later
+  // map's keys are final roots of the composition so far, never its keys.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> moves;
+  std::size_t words = 0;
+  for (std::uint64_t ep = from + 1; ep <= snap_epoch_[slot]; ++ep) {
+    const RootMap& m = maps_[ep % kEpochRing];
+    words += m.merged.size();
+    for (auto& mv : moves) {
+      const auto it =
+          std::lower_bound(m.merged.begin(), m.merged.end(), mv.second);
+      if (it != m.merged.end() && *it == mv.second)
+        mv.second = m.into[static_cast<std::size_t>(it - m.merged.begin())];
+    }
+    for (std::size_t k = 0; k < m.merged.size(); ++k)
+      moves.emplace_back(m.merged[k], m.into[k]);
+  }
+
+  pgas::GlobalArray<std::uint64_t>& szs = *sizes_[slot];
+  rt_.run([&](pgas::ThreadCtx& ctx) {
+    pgas::TraceScope ts(ctx, "stream.sizes.delta");
+    const int me = ctx.id();
+    const std::size_t slice =
+        std::max<std::size_t>(szs.local_size(me), 1) * sizeof(std::uint64_t);
+    // The composition is replicated: every thread streams the maps and
+    // probes each link's map once per composed entry.
+    ctx.mem_seq(2 * words * sizeof(std::uint64_t), Cat::Work);
+    ctx.compute(words * static_cast<std::size_t>(std::bit_width(words)),
+                Cat::Work);
+
+    // The owner of each merged root reads its old size and zeroes it.
+    std::vector<std::uint64_t> out;
+    for (const auto& [root, final_root] : moves) {
+      if (szs.owner(root) != me) continue;
+      std::uint64_t& sz = szs.raw(root);
+      out.push_back(final_root);
+      out.push_back(sz);
+      sz = 0;
+    }
+    ctx.compute(moves.size(), Cat::Work);
+    ctx.mem_random(out.size() / 2, slice, sizeof(std::uint64_t), Cat::Work);
+
+    // Ship the (final root, size) pairs; the final roots' owners add them.
+    std::vector<std::uint64_t> all;
+    pgas::allgatherv(ctx, std::span<const std::uint64_t>(out), all);
+    std::size_t adds = 0;
+    for (std::size_t k = 0; k + 1 < all.size(); k += 2) {
+      if (szs.owner(all[k]) != me) continue;
+      szs.raw(all[k]) += all[k + 1];
+      ++adds;
+    }
+    ctx.compute(all.size() / 2, Cat::Work);
+    ctx.mem_random(adds, slice, sizeof(std::uint64_t), Cat::Work);
+    ctx.barrier();  // every size landed before the slot is served
+    pgas::replicate_to_buddy(ctx);
+  });
+}
+
+void DynamicGraph::full_sizes(std::size_t slot) {
   pgas::GlobalArray<std::uint64_t>& snap = *snap_[slot];
   pgas::GlobalArray<std::uint64_t>& szs = *sizes_[slot];
   const coll::CollectiveOptions& copt = opt_.cc.coll;
@@ -451,7 +539,6 @@ void DynamicGraph::compute_sizes(std::size_t slot) {
     // shrink promotes the sizes of this epoch too.  No-op without a plan.
     pgas::replicate_to_buddy(ctx);
   });
-  sizes_valid_[slot] = true;
 }
 
 QueryResult DynamicGraph::query(const QueryBatch& q) {
@@ -527,12 +614,12 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
   for (int attempt = 0;; ++attempt) {
     try {
       // Lazy per-epoch size aggregation: charged (once) to the first query
-      // batch that needs it, cached in sizes_valid_ for every later batch
-      // on the same epoch.  The aggregation-only cost is surfaced in
+      // batch that needs it, held in sizes_epoch_ for every later batch on
+      // the same epoch.  The aggregation-only cost is surfaced in
       // res.agg_ns so callers (the serving layer, the regression test) can
       // see that a second batch pays nothing here.
-      if (!q.component_size.empty() && !sizes_valid_[slot]) {
-        compute_sizes(slot);
+      if (!q.component_size.empty() && sizes_epoch_[slot] != e) {
+        (compute_sizes(slot) ? res.agg_delta : res.agg_full) = 1;
         res.agg_ns = rt_.modeled_time_ns();  // all cost since reset_costs()
       }
       res.same.assign(q.same_component.size(), 0);

@@ -65,8 +65,22 @@ struct BatchStats {
 ///
 /// Queries (same_component / component_size) are answered from snapshots
 /// through GetD with whatever collective optimizations the CcOptions
-/// carry; component sizes are aggregated lazily per epoch with one
-/// SetDAdd pass (combining CRCW) the first time a size query hits it.
+/// carry.  Component sizes are aggregated lazily per epoch, the first time
+/// a size query hits it, in one of two ways:
+///  - roll-forward — each insert-only batch keeps the grafted-root map its
+///    `cc_incremental` pass resolved (merged old root -> new root; empty
+///    when nothing merged).  When a ring slot's size array still holds the
+///    sizes of an older epoch e0 and every epoch in (e0, e] has a map, the
+///    maps are composed into one old-root -> final-root map, the owners of
+///    the merged roots ship their (final root, size) pairs in one
+///    all-gather and the final roots' owners add them: O(delta) traffic
+///    instead of a pass over all n vertices.
+///  - full pass — otherwise (first epoch, a rebuilt or erase epoch, a
+///    chain longer than the map ring, after a shrink or republish()) one
+///    SetDAdd pass (combining CRCW) over every vertex's label.
+/// A slot's held-sizes tag is cleared before either pass writes the array
+/// and set only once it succeeded, so a pass cut short by a fault (a
+/// permanent loss included) is always retried through the full pass.
 struct DynamicGraphOptions {
   core::CcOptions cc = core::CcOptions::optimized();
   /// Fresh-insert volume (fraction of the live edge count) past which an
@@ -109,7 +123,8 @@ class DynamicGraph {
   /// buddy mirrors are consistent on the survivor topology; answers stay
   /// bit-identical because live labels were already restored by the
   /// shrink promotion.  Invalidates the epoch's lazy size aggregate, so
-  /// the next size query re-aggregates (charged once, as always).
+  /// the next size query re-aggregates through the full pass (charged
+  /// once, as always).
   BatchStats republish();
 
   std::uint64_t latest_epoch() const { return epoch_; }
@@ -152,8 +167,15 @@ class DynamicGraph {
   void publish(BatchStats& st);
   /// publish(), with a rebuild+retry if a permanent loss lands mid-copy.
   void publish_recover(BatchStats& st);
-  /// Aggregate component sizes for ring slot `slot` (SetDAdd pass).
-  void compute_sizes(std::size_t slot);
+  /// Aggregate component sizes for ring slot `slot`: roll the slot's held
+  /// sizes forward when the root-map chain is complete, else a full
+  /// SetDAdd pass.  Returns true when it rolled forward.
+  bool compute_sizes(std::size_t slot);
+  /// Full pass: one SetDAdd of every vertex's label into sizes_[slot].
+  void full_sizes(std::size_t slot);
+  /// Roll-forward: move the sizes of every root merged since epoch `from`
+  /// onto its final root (the maps of (from, snap_epoch_[slot]] compose).
+  void roll_sizes(std::size_t slot, std::uint64_t from);
 
   pgas::Runtime& rt_;
   std::size_t n_;
@@ -177,7 +199,23 @@ class DynamicGraph {
       sizes_;
   std::array<std::uint64_t, kEpochRing> snap_epoch_{};
   std::array<bool, kEpochRing> snap_valid_{};
-  std::array<bool, kEpochRing> sizes_valid_{};
+
+  static constexpr std::uint64_t kNoEpoch = ~0ull;
+  /// Epoch whose component sizes sizes_[i] holds (kNoEpoch: none, or a
+  /// pass is writing it), and the runtime promotion generation they were
+  /// aggregated under: held sizes from before a shrink are never rolled.
+  std::array<std::uint64_t, kEpochRing> sizes_epoch_;
+  std::array<std::uint64_t, kEpochRing> sizes_gen_{};
+
+  /// Grafted-root map of one published epoch (cc_incremental's merged ->
+  /// into), kept for the last kEpochRing epochs in slot epoch % kEpochRing.
+  /// epoch == kNoEpoch marks a rebuilt epoch, which has no map.
+  struct RootMap {
+    std::uint64_t epoch = kNoEpoch;
+    std::vector<std::uint64_t> merged;
+    std::vector<std::uint64_t> into;
+  };
+  std::array<RootMap, kEpochRing> maps_;
 
   BatchStats initial_;
 };

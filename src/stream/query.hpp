@@ -43,6 +43,11 @@ struct QueryResult {
   /// once per published epoch; batches served from the cached sizes report
   /// 0 here.
   double agg_ns = 0.0;
+  /// Which path that aggregation took: a full SetDAdd pass over every
+  /// vertex, or a roll-forward of an older epoch's sizes by the grafted
+  /// roots in between.  Counts completed passes, so at most one is 1.
+  std::uint32_t agg_full = 0;
+  std::uint32_t agg_delta = 0;
 };
 
 }  // namespace pgraph::stream

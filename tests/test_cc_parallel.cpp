@@ -2,6 +2,8 @@
 // ground truth, across topologies and optimization configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/cc_coalesced.hpp"
 #include "core/cc_fine.hpp"
 #include "core/cc_seq.hpp"
@@ -80,6 +82,11 @@ struct CcOptCase {
   core::CcOptions opt;
   const char* name;
 };
+
+// Names the case by its label (e.g. base+compact), so the test IDs are
+// stable; gtest would otherwise print the raw object bytes, the name
+// pointer included.
+void PrintTo(const CcOptCase& c, std::ostream* os) { *os << c.name; }
 
 class CcOptionSweep : public ::testing::TestWithParam<CcOptCase> {};
 

@@ -13,7 +13,9 @@
 #include "core/cc_seq.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
+#include "graph/stats.hpp"
 #include "machine/cost_params.hpp"
+#include "partition/partitioning.hpp"
 #include "pgas/runtime.hpp"
 #include "stream/cc_incremental.hpp"
 #include "stream/dynamic_graph.hpp"
@@ -24,6 +26,7 @@ namespace m = pgraph::machine;
 namespace core = pgraph::core;
 namespace flt = pgraph::fault;
 namespace strm = pgraph::stream;
+namespace part = pgraph::partition;
 
 namespace {
 
@@ -209,11 +212,141 @@ TEST(StreamQueries, SizeAggregationChargedOncePerEpoch) {
   conn.same_component.push_back({0, 1});
   EXPECT_DOUBLE_EQ(dg.query(conn).agg_ns, 0.0);
 
-  // A new epoch re-arms the lazy pass exactly once.
+  // A new epoch re-arms the lazy pass exactly once.  Its slot holds no
+  // older sizes yet, so that pass is a full one.
   dg.apply_batch(ts.updates);
   const auto r4 = dg.query(q);
   EXPECT_GT(r4.agg_ns, 0.0);
+  EXPECT_EQ(r4.agg_full, 1u);
+  EXPECT_EQ(r4.agg_delta, 0u);
   EXPECT_DOUBLE_EQ(dg.query(q).agg_ns, 0.0);
+
+  // Epoch 2 rolls epoch 0's sizes forward through the root maps of epochs
+  // 1 and 2: still charged once, and below the full pass.
+  dg.apply_batch({});
+  const auto r5 = dg.query(q);
+  EXPECT_GT(r5.agg_ns, 0.0);
+  EXPECT_LT(r5.agg_ns, r1.agg_ns);
+  EXPECT_EQ(r5.agg_full, 0u);
+  EXPECT_EQ(r5.agg_delta, 1u);
+  const auto r6 = dg.query(q);
+  EXPECT_EQ(r6.size, r5.size);
+  EXPECT_DOUBLE_EQ(r6.agg_ns, 0.0);
+  EXPECT_EQ(r6.agg_full + r6.agg_delta, 0u);
+}
+
+TEST(StreamQueries, SizesRollForwardMatchUnionFind) {
+  // Property: whichever path aggregated an epoch's component sizes (a
+  // roll-forward through the grafted-root maps or the full SetDAdd pass),
+  // they equal a host union-find's.  An epoch rolls forward exactly when
+  // its slot holds the sizes of two epochs back and neither batch since
+  // was rebuilt: erase batches break the chain, and querying only every
+  // third epoch outruns the map ring.
+  struct Topo {
+    int nodes, threads;
+  };
+  std::uint64_t seed = 40;
+  for (const Topo tp : {Topo{1, 1}, Topo{2, 1}, Topo{4, 2}})
+    for (const char* scheme : {"block", "cyclic", "degree"})
+      for (const bool mixed : {false, true})
+        for (const std::uint64_t every : {1u, 2u, 3u}) {
+          SCOPED_TRACE(std::to_string(tp.nodes) + "x" +
+                       std::to_string(tp.threads) + " " + scheme +
+                       (mixed ? " mixed" : " insert-only") + " every " +
+                       std::to_string(every));
+          g::TemporalStreamParams p;
+          p.base_edges = 96;  // 0.6 n: small components, batches graft
+          const auto ts = g::temporal_stream(160, 160, ++seed, p);
+          // Batches of 16 inserts; the mixed stream swaps two of them for
+          // the erase of a live base edge.
+          std::vector<std::vector<g::EdgeUpdate>> batches;
+          for (std::size_t at = 0; at < ts.updates.size(); at += 16)
+            batches.emplace_back(ts.updates.begin() + at,
+                                 ts.updates.begin() + at + 16);
+          if (mixed)
+            for (const std::size_t b : {3u, 6u}) {
+              const g::Edge victim = ts.base.edges[b];
+              batches[b] = {{victim.u, victim.v, batches[b].front().ts,
+                             g::UpdateKind::Erase}};
+            }
+
+          part::PartitionSpec sp;
+          ASSERT_EQ(part::PartitionSpec::parse(scheme, sp), "");
+          if (sp.kind == part::PartitionKind::Degree)
+            sp = sp.with_degrees(g::degree_histogram(ts.base));
+          pg::Runtime rt = make_rt(tp.nodes, tp.threads);
+          rt.set_partition_spec(sp);
+          strm::DynamicGraph dg(rt, ts.base);
+
+          strm::QueryBatch q;
+          for (g::VertexId u = 0; u < dg.num_vertices(); ++u)
+            q.component_size.push_back(u);
+          std::vector<bool> rebuilt = {true};  // epoch 0 is a full build
+          double full_min = 0.0, delta_max = 0.0;
+          std::size_t deltas = 0;
+          for (std::uint64_t e = 0;; ++e) {
+            if (e % every == 0) {
+              SCOPED_TRACE("epoch " + std::to_string(e));
+              const auto truth = core::cc_dsu(dg.materialize());
+              std::vector<std::uint64_t> size_of(dg.num_vertices(), 0);
+              for (const auto lbl : truth.labels) ++size_of[lbl];
+              const auto r = dg.query(q);
+              for (std::size_t i = 0; i < q.component_size.size(); ++i)
+                ASSERT_EQ(r.size[i], size_of[truth.labels[i]]) << i;
+              const bool roll =
+                  every <= 2 && e >= 2 && !rebuilt[e] && !rebuilt[e - 1];
+              ASSERT_EQ(r.agg_delta, roll ? 1u : 0u);
+              ASSERT_EQ(r.agg_full, roll ? 0u : 1u);
+              if (roll) {
+                ++deltas;
+                delta_max = std::max(delta_max, r.agg_ns);
+              } else if (full_min == 0.0 || r.agg_ns < full_min) {
+                full_min = r.agg_ns;
+              }
+            }
+            if (e == batches.size()) break;
+            rebuilt.push_back(dg.apply_batch(batches[e]).rebuilt);
+          }
+          EXPECT_EQ(rebuilt[4] && rebuilt[7], mixed);
+          if (every <= 2) {
+            EXPECT_GT(deltas, 0u);
+            EXPECT_GT(delta_max, 0.0);
+            EXPECT_LT(delta_max, full_min);
+          }
+        }
+}
+
+TEST(StreamQueries, FaultMidRollForwardRetriesFullPass) {
+  // A fault that escapes a roll-forward leaves the size array half-written:
+  // with every exchange message dropped and no retransmit budget, the pass
+  // dies at its all-gather after the owners zeroed the merged roots' sizes.
+  // The caller's retry must not roll again from that array.
+  g::TemporalStreamParams p;
+  p.base_edges = 180;  // 0.6 n: many small components, so batches graft
+  const auto ts = g::temporal_stream(300, 60, 29, p);
+  flt::FaultInjector inj(
+      flt::FaultConfig::parse("drop=1,retries=0,arm=0", chaos_seed()));
+  pg::Runtime rt = make_rt();
+  rt.set_fault_injector(&inj);
+  strm::DynamicGraph dg(rt, ts.base);
+  strm::QueryBatch q;
+  for (g::VertexId u = 0; u < dg.num_vertices(); ++u)
+    q.component_size.push_back(u);
+  dg.query(q);
+  dg.apply_batch(std::span<const g::EdgeUpdate>(ts.updates).subspan(0, 30));
+  dg.apply_batch(std::span<const g::EdgeUpdate>(ts.updates).subspan(30, 30));
+
+  inj.set_armed(true);
+  EXPECT_THROW(dg.query(q), flt::FaultError);
+  inj.set_armed(false);
+  const auto r = dg.query(q);
+  EXPECT_EQ(r.agg_full, 1u);
+  EXPECT_EQ(r.agg_delta, 0u);
+  const auto truth = core::cc_dsu(dg.materialize());
+  std::vector<std::uint64_t> size_of(dg.num_vertices(), 0);
+  for (const auto lbl : truth.labels) ++size_of[lbl];
+  for (std::size_t i = 0; i < q.component_size.size(); ++i)
+    EXPECT_EQ(r.size[i], size_of[truth.labels[i]]) << i;
 }
 
 TEST(StreamEpochs, RingServesPreviousEpochAndEvictsOlder) {
@@ -479,6 +612,88 @@ TEST(StreamLoss, GraftingBatchBitIdenticalAtEveryBarrier) {
     served_as(2, truth2);
     served_as(3, truth2);
   }
+}
+
+TEST(StreamLoss, SizeRollForwardBitIdenticalAtEveryBarrier) {
+  // Sweep a permanent node loss over every barrier of one size query whose
+  // aggregation rolls epoch 0's sizes forward to epoch 2.  Every answer
+  // must be bit-identical to the fault-free run.  A loss that surfaces
+  // inside the roll-forward leaves the size array half-written, so the
+  // retry must take the full pass.  Losses from the roll's mirror shipment
+  // on surface only after the pass completed, and keep its sizes.
+  g::TemporalStreamParams p;
+  p.base_edges = 180;  // 0.6 n: many small components, so batches graft
+  const auto ts = g::temporal_stream(300, 60, 29, p);
+  const auto span = [&](std::size_t at, std::size_t len) {
+    return std::span<const g::EdgeUpdate>(ts.updates).subspan(at, len);
+  };
+  strm::QueryBatch q;
+  for (g::VertexId u = 0; u + 7 < 300; u += 3)
+    q.same_component.push_back({u, u + 7});
+  for (g::VertexId u = 0; u < 300; u += 2) q.component_size.push_back(u);
+  strm::QueryBatch sizes0 = q;
+  sizes0.epoch = 0;
+
+  // Fault-free reference, on an armed loss plan that never fires: the
+  // runtime-epoch windows of the rolled query and of the lookups alone (a
+  // repeat of the query on the held sizes).
+  std::uint64_t e0 = 0, e1 = 0, e2 = 0;
+  strm::QueryResult want;
+  {
+    flt::FaultInjector probe(flt::FaultConfig::parse(
+        "loss_at=1000000000,loss_node=2", chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&probe);
+    strm::DynamicGraph dg(rt, ts.base);
+    dg.query(sizes0);
+    dg.apply_batch(span(0, 30));
+    dg.apply_batch(span(30, 30));
+    e0 = rt.epoch();
+    want = dg.query(q);
+    e1 = rt.epoch();
+    ASSERT_EQ(want.agg_delta, 1u) << "the swept query must roll forward";
+    ASSERT_EQ(dg.query(q).size, want.size);
+    e2 = rt.epoch();
+  }
+  const std::uint64_t lookups = e2 - e1;
+  ASSERT_GT(e1 - e0, lookups) << "the roll-forward must have barriers";
+
+  std::size_t fulls = 0;
+  bool rolled = false;
+  for (std::uint64_t at = e0 + 1; at <= e1; ++at) {
+    SCOPED_TRACE("loss_at=" + std::to_string(at));
+    flt::FaultInjector inj(flt::FaultConfig::parse(
+        "loss_at=" + std::to_string(at) + ",loss_node=2", chaos_seed()));
+    pg::Runtime rt = make_rt();
+    rt.set_fault_injector(&inj);
+    strm::DynamicGraph dg(rt, ts.base);
+    dg.query(sizes0);
+    dg.apply_batch(span(0, 30));
+    dg.apply_batch(span(30, 30));
+    const auto r = dg.query(q);
+    EXPECT_EQ(r.same, want.same);
+    EXPECT_EQ(r.size, want.size);
+    // The full retries are a prefix of the roll-forward's barriers.
+    EXPECT_EQ(r.agg_full + r.agg_delta, 1u);
+    if (r.agg_full == 1) {
+      EXPECT_FALSE(rolled);
+      EXPECT_LE(at, e1 - lookups);
+      ++fulls;
+    } else {
+      rolled = true;
+    }
+
+    // A loss on one of the last barriers surfaces at the next exchange.
+    dg.apply_batch(span(60, 0));
+    EXPECT_EQ(inj.counters().loss_events, 1u);
+    EXPECT_EQ(rt.topo().live_node_count(), 3);
+    strm::QueryBatch prev = q;
+    prev.epoch = 2;
+    const auto r2 = dg.query(prev);
+    EXPECT_EQ(r2.same, want.same);
+    EXPECT_EQ(r2.size, want.size);
+  }
+  EXPECT_GT(fulls, 0u);
 }
 
 TEST(StreamIngest, CountersAndDeterminism) {
