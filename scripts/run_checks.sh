@@ -33,9 +33,8 @@
 #            lifecycle, brownout, permanent-loss recovery; each carries a
 #            fault-plan matrix internally) across fault seeds 1..3 in the
 #            default and check presets plus one asan run, then the srv02
-#            availability sweep gated against
-#            scripts/baselines/BENCH_srv02_degraded.json (availability /
-#            crashed extras gated on decrease) and a zero-fault
+#            availability sweep gated bit-for-bit (--threshold 0) against
+#            scripts/baselines/BENCH_srv02_degraded.json and a zero-fault
 #            resilience-off srv01 run gated bit-for-bit (--threshold 0)
 #            against the serve smoke baseline
 #   chaos    fault-injection suite (tests/test_fault.cpp) and every 'Loss'
@@ -225,12 +224,13 @@ EOF
         out=build/BENCH_srv02_degraded.json
         # Fixed configuration of the committed availability baseline; the
         # bench self-checks conservation, the availability floors, breaker
-        # engagement and zero-fault raw/res identity, and bench_diff gates
-        # the availability/crashed extras on top.
+        # engagement and zero-fault raw/res identity.  srv02 is
+        # deterministic, so bench_diff gates it bit-for-bit (--threshold 0)
+        # like the zero-fault gates, availability/crashed extras included.
         build/bench/srv02_degraded_serving \
           --n 1200 --nodes 4 --threads 2 --seed 1 --scale 0.5 \
           --json "$out" > /dev/null
-        python3 scripts/bench_diff.py \
+        python3 scripts/bench_diff.py --threshold 0 \
           scripts/baselines/BENCH_srv02_degraded.json "$out"
         echo "---- [serve-chaos] zero-fault plan leaves serving unchanged ----"
         # Resilience-off serving with an attached all-zero fault plan must
