@@ -23,10 +23,19 @@ static void BM_CountSort(benchmark::State& state) {
   std::vector<std::uint32_t> rank(m);
   std::vector<std::size_t> off;
   for (auto& x : in) x = rng.next_below(buckets);
+  std::vector<std::size_t> cursor;
+  const auto key = [&](std::size_t i) {
+    return static_cast<std::size_t>(in[i]);
+  };
   for (auto _ : state) {
-    sched::count_sort<std::uint64_t>(
-        in, [](std::uint64_t x) { return static_cast<std::size_t>(x); },
-        buckets, sorted, rank, off);
+    sched::count_sort_offsets(m, buckets, key, off);
+    sched::count_sort_scatter(
+        m, key,
+        [&](std::size_t i, std::size_t pos) {
+          sorted[pos] = in[i];
+          rank[pos] = static_cast<std::uint32_t>(i);
+        },
+        off, cursor);
     benchmark::DoNotOptimize(sorted.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(m) * state.iterations());

@@ -41,15 +41,10 @@ inline std::uint64_t collective_sig(std::uint64_t array_uid,
 }
 
 constexpr analysis::CollOp crcw_coll_op(CrcwMode m) {
-  switch (m) {
-    case CrcwMode::Overwrite:
-      return analysis::CollOp::SetD;
-    case CrcwMode::Min:
-      return analysis::CollOp::SetDMin;
-    case CrcwMode::Add:
-      return analysis::CollOp::SetDAdd;
-  }
-  return analysis::CollOp::SetD;
+  constexpr analysis::CollOp kOps[] = {analysis::CollOp::SetD,
+                                       analysis::CollOp::SetDMin,
+                                       analysis::CollOp::SetDAdd};
+  return kOps[static_cast<int>(m)];
 }
 
 /// Register this thread's arrival at a collective call site with the

@@ -77,6 +77,7 @@ struct CollWorkspace {
   std::vector<T> sorted_val;          ///< values in bucket order (SetD*)
   std::vector<std::uint32_t> rank;    ///< original slot of sorted[k]
   std::vector<std::size_t> bucket_off;
+  std::vector<std::size_t> cursor;   ///< count-sort scatter cursors
   std::vector<std::size_t> thr_off;  ///< per-owner-thread offsets (s+1)
   std::vector<T> reply;              ///< GetD replies, bucket order
   std::vector<std::uint64_t> sums;   ///< per-batch checksums, indexed by the
@@ -85,19 +86,55 @@ struct CollWorkspace {
                                      ///< own batches in SetD, read by owners)
 
   // Scratch for the output-blocked permute phase (Algorithm 1 applied to
-  // the permute as well: eq. 5 pays ~n misses instead of m).
-  std::vector<std::size_t> perm_off;
+  // the permute as well: eq. 5 pays ~n misses instead of m); its count
+  // sort reuses bucket_off, which the route stage is done with.
   std::vector<std::uint32_t> perm_rank;
   std::vector<T> perm_val;
 
   // Line-granular first-touch bitmap over the owner's block, used during
-  // the serve/apply phase to charge compulsory misses exactly once and
+  // the owner walk to charge compulsory misses exactly once and
   // reuse accesses at their (often cached) cost — duplicated requests,
   // e.g. pointer-jumping reads of a few hot labels, hit in cache on the
   // real machine and must do so in the model too.
   std::vector<std::uint64_t> touched;
+  /// Hierarchical owner walks: remote bytes combined per destination node.
+  std::vector<std::size_t> node_bytes;
 
   void invalidate_keys() { keys_valid = false; }
 };
+
+/// Compact an edge batch's request lists in place: edge k survives iff
+/// keep(k), moving `eu` and every parallel array in `rest` down.  The
+/// cached target keys of ws_u / ws_v (the requests eu and the first of
+/// `rest`) move with their requests, so the `id` cache stays valid across
+/// the compaction; keys that did not describe the batch are invalidated.
+template <class Keep, class... Rest>
+void compact_requests(Keep keep, CollWorkspace<std::uint64_t>& ws_u,
+                      CollWorkspace<std::uint64_t>& ws_v,
+                      std::vector<std::uint64_t>& eu, Rest&... rest) {
+  const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
+                       ws_u.keys.size() == eu.size() &&
+                       ws_v.keys.size() == eu.size();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < eu.size(); ++k) {
+    if (!keep(k)) continue;
+    eu[kept] = eu[k];
+    ((rest[kept] = rest[k]), ...);
+    if (keys_ok) {
+      ws_u.keys[kept] = ws_u.keys[k];
+      ws_v.keys[kept] = ws_v.keys[k];
+    }
+    ++kept;
+  }
+  eu.resize(kept);
+  (rest.resize(kept), ...);
+  if (keys_ok) {
+    ws_u.keys.resize(kept);
+    ws_v.keys.resize(kept);
+  } else {
+    ws_u.invalidate_keys();
+    ws_v.invalidate_keys();
+  }
+}
 
 }  // namespace pgraph::coll

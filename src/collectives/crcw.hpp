@@ -15,27 +15,16 @@ enum class CrcwMode {
 };
 
 inline analysis::AccessKind to_access_kind(CrcwMode m) {
-  switch (m) {
-    case CrcwMode::Min:
-      return analysis::AccessKind::CombineMin;
-    case CrcwMode::Add:
-      return analysis::AccessKind::CombineAdd;
-    case CrcwMode::Overwrite:
-      break;
-  }
-  return analysis::AccessKind::CombineOverwrite;
+  constexpr analysis::AccessKind kKinds[] = {
+      analysis::AccessKind::CombineOverwrite, analysis::AccessKind::CombineMin,
+      analysis::AccessKind::CombineAdd};
+  return kKinds[static_cast<int>(m)];
 }
 
 inline const char* crcw_trace_label(CrcwMode m) {
-  switch (m) {
-    case CrcwMode::Min:
-      return "crcw.min";
-    case CrcwMode::Add:
-      return "crcw.add";
-    case CrcwMode::Overwrite:
-      break;
-  }
-  return "crcw.overwrite";
+  constexpr const char* kLabels[] = {"crcw.overwrite", "crcw.min",
+                                     "crcw.add"};
+  return kLabels[static_cast<int>(m)];
 }
 
 /// RAII annotation telling the access checker that writes to `a` are

@@ -12,20 +12,11 @@
 #include "core/dsu.hpp"
 #include "core/euler_tour.hpp"
 #include "core/mst_pgas.hpp"
+#include "sched/count_sort.hpp"
 
 namespace pgraph::core {
 
 namespace {
-
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
 
 /// Static range-min/max over an array: O(n log n) sparse table.
 class SparseTable {
@@ -99,7 +90,7 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   mopt.coll = opt;
   mopt.compact = true;
   const auto st = spanning_tree_pgas(rt, el, mopt);
-  accumulate(r.costs, st.costs);
+  r.costs += st.costs;
 
   graph::EdgeList tree;
   tree.n = el.n;
@@ -115,7 +106,7 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   // --- phase 2: Euler tour metrics (two distributed rankings). -----------
   const auto tour = build_euler_tour(tree, 0);
   const auto tm = euler_tour_metrics(rt, tour, opt);
-  accumulate(r.costs, tm.costs);
+  r.costs += tm.costs;
 
   // Map each non-root vertex to its tree edge e^(v) = (parent(v), v).
   std::vector<std::uint64_t> vertex_edge(el.n, UINT64_MAX);
@@ -198,7 +189,7 @@ BccResult bcc_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   ccopt.coll = opt;
   ccopt.compact = true;
   const auto aux_cc = cc_coalesced(rt, aux, ccopt);
-  accumulate(r.costs, aux_cc.costs);
+  r.costs += aux_cc.costs;
 
   // --- assignment: tree edge -> its auxiliary label; nontree edge {u, w}
   // -> the label of e^(the endpoint with the larger preorder) (for a back
@@ -224,21 +215,21 @@ BccResult bcc_sequential(const graph::EdgeList& el) {
   BccResult r;
   r.edge_block.assign(el.m(), UINT64_MAX);
 
-  // Adjacency with edge ids.
-  std::vector<std::size_t> off(el.n + 1, 0);
-  for (const auto& e : el.edges) {
-    ++off[e.u + 1];
-    ++off[e.v + 1];
-  }
-  for (std::size_t i = 1; i <= el.n; ++i) off[i] += off[i - 1];
+  // Adjacency with edge ids (arc 2e: u -> v, 2e+1: v -> u).
+  const auto src = [&](std::size_t a) {
+    const auto& e = el.edges[a / 2];
+    return static_cast<std::size_t>(a & 1 ? e.v : e.u);
+  };
+  std::vector<std::size_t> off, cur;
+  sched::count_sort_offsets(2 * el.m(), el.n, src, off);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> adj(2 * el.m());
-  {
-    std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-    for (std::size_t e = 0; e < el.m(); ++e) {
-      adj[cur[el.edges[e].u]++] = {el.edges[e].v, e};
-      adj[cur[el.edges[e].v]++] = {el.edges[e].u, e};
-    }
-  }
+  sched::count_sort_scatter(
+      2 * el.m(), src,
+      [&](std::size_t a, std::size_t pos) {
+        const auto& e = el.edges[a / 2];
+        adj[pos] = {a & 1 ? e.u : e.v, a / 2};
+      },
+      off, cur);
 
   // Iterative Hopcroft-Tarjan with an explicit edge stack.
   constexpr std::uint64_t kUnset = UINT64_MAX;

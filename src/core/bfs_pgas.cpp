@@ -105,29 +105,11 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
 
       // Compact: an edge whose endpoints are both settled can never relax
       // anything again.
-      std::size_t kept = 0;
-      const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                           ws_u.keys.size() == eu.size() &&
-                           ws_v.keys.size() == ev.size();
-      for (std::size_t k = 0; k < eu.size(); ++k) {
-        if (du[k] != kBfsUnreached && dv[k] != kBfsUnreached) continue;
-        eu[kept] = eu[k];
-        ev[kept] = ev[k];
-        if (keys_ok) {
-          ws_u.keys[kept] = ws_u.keys[k];
-          ws_v.keys[kept] = ws_v.keys[k];
-        }
-        ++kept;
-      }
-      eu.resize(kept);
-      ev.resize(kept);
-      if (keys_ok) {
-        ws_u.keys.resize(kept);
-        ws_v.keys.resize(kept);
-      } else {
-        ws_u.invalidate_keys();
-        ws_v.invalidate_keys();
-      }
+      coll::compact_requests(
+          [&](std::size_t k) {
+            return du[k] == kBfsUnreached || dv[k] == kBfsUnreached;
+          },
+          ws_u, ws_v, eu, ev);
       ctx.mem_seq(eu.size() * 16, Cat::Work);
     }
     if (me == 0)
@@ -137,10 +119,7 @@ BfsResult bfs_pgas(pgas::Runtime& rt, const graph::EdgeList& el,
   BfsResult r;
   r.dist.assign(dist.raw_all().begin(), dist.raw_all().end());
   r.levels = levels.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt, t0);
   return r;
 }
 

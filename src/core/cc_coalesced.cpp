@@ -111,29 +111,8 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
       // --- compact: drop edges already inside one component, keeping the
       // cached target keys aligned with the surviving requests.
       if (opt.compact) {
-        std::size_t kept = 0;
-        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                             ws_u.keys.size() == eu.size() &&
-                             ws_v.keys.size() == ev.size();
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          if (keys_ok) {
-            ws_u.keys[kept] = ws_u.keys[k];
-            ws_v.keys[kept] = ws_v.keys[k];
-          }
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
-        if (keys_ok) {
-          ws_u.keys.resize(kept);
-          ws_v.keys.resize(kept);
-        } else {
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-        }
+        coll::compact_requests([&](std::size_t k) { return du[k] != dv[k]; },
+                               ws_u, ws_v, eu, ev);
         ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
       }
       return true;
@@ -147,10 +126,7 @@ ParCCResult cc_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
   r.iterations = driver.iterations();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt, t0);
   return r;
 }
 
@@ -328,15 +304,10 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
 
       // --- compact.
       if (opt.compact) {
-        std::size_t kept = 0;
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
+        // Keys are recomputed after every compaction here: ws_u / ws_v
+        // also serve the star-flag GetDs.
+        coll::compact_requests([&](std::size_t k) { return du[k] != dv[k]; },
+                               ws_u, ws_v, eu, ev);
         ws_u.invalidate_keys();
         ws_v.invalidate_keys();
         ctx.mem_seq(eu.size() * 2 * sizeof(std::uint64_t), Cat::Work);
@@ -355,10 +326,7 @@ ParCCResult sv_coalesced(pgas::Runtime& rt, const graph::EdgeList& el,
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
   r.iterations = iterations.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt, t0);
   return r;
 }
 

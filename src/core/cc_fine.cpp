@@ -110,10 +110,7 @@ ParCCResult cc_fine_grained(pgas::Runtime& rt, const graph::EdgeList& el,
   for (std::size_t i = 0; i < n; ++i)
     if (r.labels[i] == i) ++r.num_components;
   r.iterations = iterations.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt, t0);
   return r;
 }
 

@@ -14,16 +14,6 @@ namespace pgraph::core {
 
 namespace {
 
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
-
 /// Range-min sparse table (as in bcc.cpp, min-only).
 class MinTable {
  public:
@@ -106,7 +96,7 @@ EarResult ear_decomposition_pgas(pgas::Runtime& rt,
   MstOptions mopt;
   mopt.coll = opt;
   const auto st = spanning_tree_pgas(rt, el, mopt);
-  accumulate(r.costs, st.costs);
+  r.costs += st.costs;
   graph::EdgeList tree;
   tree.n = el.n;
   std::vector<std::uint8_t> is_tree(el.m(), 0);
@@ -116,7 +106,7 @@ EarResult ear_decomposition_pgas(pgas::Runtime& rt,
   }
   const auto tour = build_euler_tour(tree, 0);
   const auto tm = euler_tour_metrics(rt, tour, opt);
-  accumulate(r.costs, tm.costs);
+  r.costs += tm.costs;
 
   // --- global preorder positions (per-component intervals, as in BCC). ---
   std::vector<std::uint64_t> comp_of(el.n), comp_offset(el.n, 0);

@@ -5,6 +5,7 @@
 
 #include "core/dsu.hpp"
 #include "core/list_ranking.hpp"
+#include "sched/count_sort.hpp"
 
 namespace pgraph::core {
 
@@ -29,28 +30,25 @@ EulerTour build_euler_tour(const graph::EdgeList& tree, std::uint64_t root) {
   t.arc_comp_root.assign(arcs, 0);
 
   // Adjacency of outgoing arcs per vertex (arc 2e: u->v, 2e+1: v->u).
-  std::vector<std::size_t> off(n + 1, 0);
-  for (const auto& e : tree.edges) {
-    ++off[e.u + 1];
-    ++off[e.v + 1];
+  for (std::size_t e = 0; e < tree.m(); ++e) {
+    const auto& ed = tree.edges[e];
+    t.arc_from[2 * e] = t.arc_to[2 * e + 1] = ed.u;
+    t.arc_to[2 * e] = t.arc_from[2 * e + 1] = ed.v;
   }
-  for (std::size_t i = 1; i <= n; ++i) off[i] += off[i - 1];
+  const auto from = [&](std::size_t a) {
+    return static_cast<std::size_t>(t.arc_from[a]);
+  };
+  std::vector<std::size_t> off, cur;
+  sched::count_sort_offsets(arcs, n, from, off);
   std::vector<std::uint64_t> out(arcs);
   std::vector<std::size_t> pos_in_adj(arcs);  // position of arc in from's list
-  {
-    std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-    for (std::size_t e = 0; e < tree.m(); ++e) {
-      const auto& ed = tree.edges[e];
-      t.arc_from[2 * e] = ed.u;
-      t.arc_to[2 * e] = ed.v;
-      t.arc_from[2 * e + 1] = ed.v;
-      t.arc_to[2 * e + 1] = ed.u;
-      pos_in_adj[2 * e] = cur[ed.u];
-      out[cur[ed.u]++] = 2 * e;
-      pos_in_adj[2 * e + 1] = cur[ed.v];
-      out[cur[ed.v]++] = 2 * e + 1;
-    }
-  }
+  sched::count_sort_scatter(
+      arcs, from,
+      [&](std::size_t a, std::size_t pos) {
+        pos_in_adj[a] = pos;
+        out[pos] = a;
+      },
+      off, cur);
   for (std::size_t v = 0; v < n; ++v)
     if (off[v] != off[v + 1]) t.first_arc[v] = out[off[v]];
 
@@ -104,20 +102,6 @@ EulerTour build_euler_tour(const graph::EdgeList& tree, std::uint64_t root) {
   return t;
 }
 
-namespace {
-
-void accumulate(RunCosts& into, const RunCosts& c) {
-  into.modeled_ns += c.modeled_ns;
-  into.wall_s += c.wall_s;
-  into.breakdown.merge_sum(c.breakdown);
-  into.messages += c.messages;
-  into.fine_messages += c.fine_messages;
-  into.bytes += c.bytes;
-  into.barriers += c.barriers;
-}
-
-}  // namespace
-
 TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
                                const coll::CollectiveOptions& opt) {
   TreeMetrics m;
@@ -137,7 +121,7 @@ TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
   // Phase 1: unit-weight ranking orients the arcs — (u->v) is downward iff
   // it appears before its reverse, i.e. has the larger suffix count.
   const auto r1 = list_ranking_pgas(rt, tour.succ, opt);
-  accumulate(m.costs, r1.costs);
+  m.costs += r1.costs;
   m.ranking_rounds = r1.rounds;
 
   // Phase 2: +1 on down arcs, -1 (two's complement) on up arcs; the
@@ -149,7 +133,7 @@ TreeMetrics euler_tour_metrics(pgas::Runtime& rt, const EulerTour& tour,
     w[2 * e + 1] = down_is_even ? ~0ull : 1;  // the reverse
   }
   const auto r2 = list_ranking_weighted_pgas(rt, tour.succ, w, opt);
-  accumulate(m.costs, r2.costs);
+  m.costs += r2.costs;
   m.ranking_rounds += r2.rounds;
 
   // Per-component arc counts (= rank of the component's first arc + 1).
@@ -190,20 +174,20 @@ TreeMetrics tree_metrics_sequential(const graph::EdgeList& tree,
   m.parent.assign(n, UINT64_MAX);
   m.preorder.assign(n, UINT64_MAX);
 
-  std::vector<std::size_t> off(n + 1, 0);
-  for (const auto& e : tree.edges) {
-    ++off[e.u + 1];
-    ++off[e.v + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) off[i] += off[i - 1];
+  const auto src = [&](std::size_t a) {
+    const auto& e = tree.edges[a / 2];
+    return static_cast<std::size_t>(a & 1 ? e.v : e.u);
+  };
+  std::vector<std::size_t> off, cur;
+  sched::count_sort_offsets(2 * tree.m(), n, src, off);
   std::vector<std::uint64_t> adj(2 * tree.m());
-  {
-    std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-    for (const auto& e : tree.edges) {
-      adj[cur[e.u]++] = e.v;
-      adj[cur[e.v]++] = e.u;
-    }
-  }
+  sched::count_sort_scatter(
+      2 * tree.m(), src,
+      [&](std::size_t a, std::size_t pos) {
+        const auto& e = tree.edges[a / 2];
+        adj[pos] = a & 1 ? e.u : e.v;
+      },
+      off, cur);
 
   // Component roots, matching build_euler_tour's convention.
   Dsu comp(n);

@@ -140,10 +140,7 @@ ListRankResult wyllie_impl(pgas::Runtime& rt,
   ListRankResult res;
   res.ranks.assign(rnk.raw_all().begin(), rnk.raw_all().end());
   res.rounds = rounds.load();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  res.costs = collect_costs(rt, wall);
+  res.costs = collect_costs(rt, t0);
   return res;
 }
 
@@ -204,10 +201,7 @@ ListRankResult list_ranking_contract(pgas::Runtime& rt,
   ListRankResult res;
   res.ranks.assign(rnk.raw_all().begin(), rnk.raw_all().end());
   res.rounds = 2;  // gather + scatter
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  res.costs = collect_costs(rt, wall);
+  res.costs = collect_costs(rt, t0);
   return res;
 }
 

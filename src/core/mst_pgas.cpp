@@ -213,33 +213,8 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
 
       // --- step 6: compact.
       if (opt.compact) {
-        const bool keys_ok = ws_u.keys_valid && ws_v.keys_valid &&
-                             ws_u.keys.size() == eu.size() &&
-                             ws_v.keys.size() == ev.size();
-        std::size_t kept = 0;
-        for (std::size_t k = 0; k < eu.size(); ++k) {
-          if (du[k] == dv[k]) continue;
-          eu[kept] = eu[k];
-          ev[kept] = ev[k];
-          ew[kept] = ew[k];
-          eid[kept] = eid[k];
-          if (keys_ok) {
-            ws_u.keys[kept] = ws_u.keys[k];
-            ws_v.keys[kept] = ws_v.keys[k];
-          }
-          ++kept;
-        }
-        eu.resize(kept);
-        ev.resize(kept);
-        ew.resize(kept);
-        eid.resize(kept);
-        if (keys_ok) {
-          ws_u.keys.resize(kept);
-          ws_v.keys.resize(kept);
-        } else {
-          ws_u.invalidate_keys();
-          ws_v.invalidate_keys();
-        }
+        coll::compact_requests([&](std::size_t k) { return du[k] != dv[k]; },
+                               ws_u, ws_v, eu, ev, ew, eid);
         ctx.mem_seq(eu.size() * 4 * sizeof(std::uint64_t), Cat::Work);
       }
       return true;
@@ -255,10 +230,7 @@ ParMstResult mst_pgas(pgas::Runtime& rt, const graph::WEdgeList& el,
     r.total_weight += mst_weight[static_cast<std::size_t>(t)];
   }
   r.iterations = driver.iterations();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = collect_costs(rt, wall);
+  r.costs = collect_costs(rt, t0);
   return r;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,18 @@ struct RunCosts {
   std::uint64_t barriers = 0;
 
   double modeled_ms() const { return modeled_ns / 1e6; }
+
+  /// Fold in the costs of a later phase of the same pipeline.
+  RunCosts& operator+=(const RunCosts& c) {
+    modeled_ns += c.modeled_ns;
+    wall_s += c.wall_s;
+    breakdown.merge_sum(c.breakdown);
+    messages += c.messages;
+    fine_messages += c.fine_messages;
+    bytes += c.bytes;
+    barriers += c.barriers;
+    return *this;
+  }
 };
 
 /// Result of a parallel connected-components run.
@@ -49,6 +62,14 @@ inline RunCosts collect_costs(pgas::Runtime& rt, double wall_s) {
   c.bytes = rt.net().total_bytes();
   c.barriers = rt.barriers_executed();
   return c;
+}
+
+/// The same, timing the wall clock since `t0`.
+inline RunCosts collect_costs(pgas::Runtime& rt,
+                              std::chrono::steady_clock::time_point t0) {
+  return collect_costs(
+      rt, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count());
 }
 
 }  // namespace pgraph::core

@@ -54,13 +54,22 @@ void gather_rec(std::span<const std::uint64_t> D,
   const std::size_t w = std::min(ws.front(), n);
   const std::size_t blk = (n + w - 1) / w;
 
-  // --- group: sort requests by target block, remembering original slots.
-  std::vector<std::uint64_t> sorted(m);
+  // --- group: sort requests by target block, rebased to it, remembering
+  // original slots.
+  const auto block_of = [&](std::size_t i) {
+    return static_cast<std::size_t>(R[i] / blk);
+  };
+  std::vector<std::size_t> off, cursor;
+  count_sort_offsets(m, w, block_of, off);
+  std::vector<std::uint64_t> local(m);
   std::vector<std::uint32_t> rank(m);
-  std::vector<std::size_t> off;
-  count_sort<std::uint64_t>(
-      R, [blk](std::uint64_t r) { return static_cast<std::size_t>(r / blk); },
-      w, sorted, rank, off);
+  count_sort_scatter(
+      m, block_of,
+      [&](std::size_t i, std::size_t pos) {
+        local[pos] = R[i] % blk;
+        rank[pos] = static_cast<std::uint32_t>(i);
+      },
+      off, cursor);
   charge_sort(mem, cost, m, w);
   charge_block_moves(mem, cost, m, w);
 
@@ -71,11 +80,9 @@ void gather_rec(std::span<const std::uint64_t> D,
     if (lo == hi) continue;
     const std::size_t dlo = k * blk;
     const std::size_t dhi = std::min(dlo + blk, n);
-    // Rebase the requests of this block.
-    std::vector<std::uint64_t> local(sorted.begin() + lo, sorted.begin() + hi);
-    for (auto& r : local) r -= dlo;
-    gather_rec(D.subspan(dlo, dhi - dlo), local,
-               std::span<std::uint64_t>(gathered.data() + lo, hi - lo),
+    gather_rec(D.subspan(dlo, dhi - dlo),
+               std::span<const std::uint64_t>(local).subspan(lo, hi - lo),
+               std::span<std::uint64_t>(gathered).subspan(lo, hi - lo),
                ws.subspan(1), dbase + dlo, mem, cost, trace);
   }
 
@@ -134,19 +141,23 @@ void scheduled_scatter(std::span<std::uint64_t> D,
   const std::size_t w = std::min(ws.front(), D.size());
   const std::size_t blk = (D.size() + w - 1) / w;
 
-  // Group (index, value) pairs by target block; write block by block.
-  struct Pair {
-    std::uint64_t r, v;
+  // Group (index, value) pairs by target block, rebased to it; write block
+  // by block.  The count sort is stable, so original order within a block
+  // is preserved and last-writer-wins semantics match the unscheduled
+  // scatter.
+  const auto block_of = [&](std::size_t i) {
+    return static_cast<std::size_t>(R[i] / blk);
   };
-  std::vector<Pair> pairs(m);
-  for (std::size_t i = 0; i < m; ++i) pairs[i] = {R[i], V[i]};
-  std::vector<Pair> sorted(m);
-  std::vector<std::uint32_t> rank(m);
-  std::vector<std::size_t> off;
-  count_sort<Pair>(
-      std::span<const Pair>(pairs),
-      [blk](const Pair& p) { return static_cast<std::size_t>(p.r / blk); }, w,
-      sorted, rank, off);
+  std::vector<std::size_t> off, cursor;
+  count_sort_offsets(m, w, block_of, off);
+  std::vector<std::uint64_t> rs(m), vs(m);
+  count_sort_scatter(
+      m, block_of,
+      [&](std::size_t i, std::size_t pos) {
+        rs[pos] = R[i] % blk;
+        vs[pos] = V[i];
+      },
+      off, cursor);
   charge_sort(mem, cost, m, w);
 
   for (std::size_t k = 0; k < w; ++k) {
@@ -154,17 +165,10 @@ void scheduled_scatter(std::span<std::uint64_t> D,
     if (lo == hi) continue;
     const std::size_t dlo = k * blk;
     const std::size_t dhi = std::min(dlo + blk, D.size());
-    std::vector<std::uint64_t> rs, vs;
-    rs.reserve(hi - lo);
-    vs.reserve(hi - lo);
-    // Preserve original order within the block so last-writer-wins
-    // semantics match the unscheduled scatter (count sort is stable).
-    for (std::size_t j = lo; j < hi; ++j) {
-      rs.push_back(sorted[j].r - dlo);
-      vs.push_back(sorted[j].v);
-    }
-    scheduled_scatter(D.subspan(dlo, dhi - dlo), rs, vs, ws.subspan(1), mem,
-                      cost, trace);
+    scheduled_scatter(D.subspan(dlo, dhi - dlo),
+                      std::span<const std::uint64_t>(rs).subspan(lo, hi - lo),
+                      std::span<const std::uint64_t>(vs).subspan(lo, hi - lo),
+                      ws.subspan(1), mem, cost, trace);
   }
 }
 

@@ -154,10 +154,7 @@ IncrementalResult cc_incremental(pgas::Runtime& rt,
   });
 
   r.iterations = grafted.load() ? 2 : 1;
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.costs = core::collect_costs(rt, wall);
+  r.costs = core::collect_costs(rt, t0);
   return r;
 }
 

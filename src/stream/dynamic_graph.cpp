@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "collectives/detail.hpp"
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
 #include "fault/fault.hpp"
@@ -30,11 +29,6 @@ std::uint64_t pair_key(graph::VertexId u, graph::VertexId v) {
   return (u << 32) | v;
 }
 
-double secs_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 }  // namespace
 
 DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
@@ -47,7 +41,10 @@ DynamicGraph::DynamicGraph(pgas::Runtime& rt, const graph::EdgeList& base,
       cc_(rt),
       edges_(static_cast<std::size_t>(rt.topo().total_threads())),
       pos_(static_cast<std::size_t>(rt.topo().total_threads())),
-      fresh_tls_(static_cast<std::size_t>(rt.topo().total_threads())) {
+      fresh_tls_(static_cast<std::size_t>(rt.topo().total_threads())),
+      ingest_ws_(static_cast<std::size_t>(rt.topo().total_threads())),
+      stage_(static_cast<std::size_t>(rt.topo().total_threads()) *
+             static_cast<std::size_t>(rt.topo().total_threads())) {
   if (n_ == 0) throw std::invalid_argument("DynamicGraph: need n >= 1");
   if (n_ > (1ULL << 32))
     throw std::invalid_argument("DynamicGraph: vertex ids must fit 32 bits");
@@ -117,97 +114,72 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
   rt_.reset_costs();
   for (auto& f : fresh_tls_) f.clear();
 
-  const int s_total = rt_.topo().total_threads();
-  // Owners stage their received record batches here, in requester-id order
-  // (= global timestamp order, since chunks are contiguous ts ranges); the
-  // edge stores are mutated host-side only after the SPMD routing phase
-  // succeeded, so a permanent node loss mid-exchange leaves the stores
-  // untouched and the phase simply re-runs on the surviving topology.
-  std::vector<std::vector<std::uint64_t>> stage(
-      static_cast<std::size_t>(s_total));
   const coll::CollectiveOptions& copt = opt_.cc.coll;
+  // Stream updates are one more op on the collectives' route -> exchange ->
+  // owner-walk pipeline (collectives/pipeline.hpp), with the owner's block
+  // replaced by its private edge store.
+  constexpr coll::detail::Wire wire{16, 0, 0};
 
   const auto spmd = [&](pgas::ThreadCtx& ctx) {
     pgas::TraceScope ts_ingest(ctx, "stream.ingest");
     const int s = ctx.nthreads();
     const int me = ctx.id();
     const auto [lo, hi] = graph::even_chunk(ops.size(), s, me);
-    const std::size_t mloc = hi - lo;
     // One bucket per owner thread: the same count-sort scheduling as SetD
     // (Algorithm 1 at the cluster level; no cache-level recursion needed,
     // owners apply to hash stores rather than array blocks).
     const sched::VBlocks vb(d_.part(), 1);
+    auto& ws = ingest_ws_[static_cast<std::size_t>(me)];
 
     // --- group: stable count-sort of this chunk's updates by owner(u).
     // Records are (u, v<<1 | kind) word pairs; stability keeps timestamp
     // order within each owner, and chunks are contiguous timestamp ranges,
     // so owners applying requester batches in id order replay the global
     // timestamp order.
-    std::vector<std::uint64_t> sa(mloc), sb(mloc);
-    std::vector<std::size_t> off(static_cast<std::size_t>(s) + 1, 0);
     {
       pgas::TraceScope ts(ctx, "stream.ingest.group");
-      for (std::size_t k = 0; k < mloc; ++k)
-        ++off[static_cast<std::size_t>(vb.owner(ops[lo + k].u)) + 1];
-      for (int t = 0; t < s; ++t)
-        off[static_cast<std::size_t>(t) + 1] +=
-            off[static_cast<std::size_t>(t)];
-      std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-      for (std::size_t k = 0; k < mloc; ++k) {
-        const graph::EdgeUpdate& op = ops[lo + k];
-        const std::size_t pos =
-            cur[static_cast<std::size_t>(vb.owner(op.u))]++;
-        sa[pos] = op.u;
-        sb[pos] = (op.v << 1) |
-                  static_cast<std::uint64_t>(op.kind == graph::UpdateKind::Erase);
-      }
-      coll::detail::charge_group_sort(ctx, mloc, static_cast<std::size_t>(s),
-                                      16);
+      coll::detail::route</*kRank=*/false>(
+          ctx, vb, hi - lo, ws,
+          [&](std::size_t k) {
+            return static_cast<std::size_t>(vb.owner(ops[lo + k].u));
+          },
+          [&](std::size_t k) {
+            const graph::EdgeUpdate& op = ops[lo + k];
+            return coll::detail::Record<std::uint64_t>{
+                op.u, (op.v << 1) | static_cast<std::uint64_t>(
+                                        op.kind == graph::UpdateKind::Erase)};
+          });
     }
 
     // --- setup: publish counts/offsets through the shared SMatrix/PMatrix.
-    {
-      pgas::TraceScope ts(ctx, "stream.ingest.setup");
-      ctx.publish(coll::kSlotIdx, sa.data());
-      ctx.publish(coll::kSlotVal, sb.data());
-      coll::detail::write_matrices(ctx, cc_, off, copt);
-    }
-    ctx.exchange_barrier();
+    coll::detail::exchange(ctx, cc_, copt, "stream.ingest.setup", wire, ws);
 
-    // --- apply (owner side): one coalesced message per requester carrying
-    // its record batch, applied to this owner's private edge store.
+    // --- apply (owner side): one coalesced message per requester (per
+    // node pair when hierarchical) carrying its record batch, staged for
+    // this owner's private edge store.
     {
       pgas::TraceScope ts(ctx, "stream.ingest.apply");
-      const auto srow = cc_.smatrix.local_span(me);
-      const auto prow = cc_.pmatrix.local_span(me);
-      ctx.mem_seq(2 * static_cast<std::size_t>(s) * sizeof(std::uint64_t),
-                  Cat::Setup);
-      // Messages are posted in the exchange-loop visit order (circular
-      // when enabled) like SetD's apply phase ...
-      for (int step = 0; step < s; ++step) {
-        const int j = coll::detail::peer_at(copt, me, s, step);
-        const std::size_t cnt = srow[static_cast<std::size_t>(j)];
-        if (cnt == 0 || j == me) continue;
-        ctx.post_exchange_msg(j, cnt * 16);
-      }
-      // ... but staged in requester-id order, which is global timestamp
-      // order (chunks are contiguous ts ranges).  The label read per erase
-      // and the hash-store probe per record are charged here even though
-      // the functional application happens host-side after the run.
-      auto& mine = stage[static_cast<std::size_t>(me)];
+      const std::size_t row =
+          static_cast<std::size_t>(me) * static_cast<std::size_t>(s);
+      coll::detail::owner_walk(
+          ctx, cc_, copt, wire, ws, coll::detail::NoBlock{},
+          [&](int j, std::size_t off, std::size_t cnt) {
+            const auto* ra = ctx.peer_as<std::uint64_t>(j, coll::kSlotIdx);
+            const auto* rb = ctx.peer_as<std::uint64_t>(j, coll::kSlotVal);
+            auto& got = stage_[row + static_cast<std::size_t>(j)];
+            for (std::size_t k = off; k < off + cnt; ++k)
+              got.emplace_back(ra[k], rb[k]);
+          });
+      // Batches arrive in the exchange-loop visit order but are charged
+      // and applied in requester-id order, which is global timestamp order
+      // (chunks are contiguous ts ranges).  The label read per erase and
+      // the hash-store probe per record are charged here even though the
+      // functional application happens host-side after the run.
       const std::size_t store_now = edges_[static_cast<std::size_t>(me)].size();
       for (int j = 0; j < s; ++j) {
-        const std::size_t cnt = srow[static_cast<std::size_t>(j)];
+        const std::size_t cnt =
+            stage_[row + static_cast<std::size_t>(j)].size();
         if (cnt == 0) continue;
-        const std::size_t boff = prow[static_cast<std::size_t>(j)];
-        const std::uint64_t* ra =
-            ctx.peer_as<std::uint64_t>(j, coll::kSlotIdx) + boff;
-        const std::uint64_t* rb =
-            ctx.peer_as<std::uint64_t>(j, coll::kSlotVal) + boff;
-        for (std::size_t k = 0; k < cnt; ++k) {
-          mine.push_back(ra[k]);
-          mine.push_back(rb[k]);
-        }
         // Streamed read of the record batch plus hash-store traffic over
         // the live-edge working set (key probe + slot update per record).
         ctx.mem_seq(cnt * 16, Cat::Copy);
@@ -221,7 +193,10 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
   };
 
   for (int attempt = 0;; ++attempt) {
-    for (auto& v : stage) v.clear();
+    // The edge stores are mutated host-side only after the SPMD routing
+    // phase succeeded, so a permanent node loss mid-exchange leaves them
+    // untouched and the phase simply re-runs on the surviving topology.
+    for (auto& v : stage_) v.clear();
     try {
       rt_.run(spmd);
       break;
@@ -234,52 +209,54 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
     }
   }
 
-  // Apply the staged records owner by owner.  Within an owner, records are
-  // in global timestamp order; across owners the streams are disjoint (an
-  // owner sees exactly the updates of its own vertices' edges), so this
-  // replay is equivalent to a sequential pass over the batch.
+  // Apply the staged records owner by owner.  Within an owner, requester
+  // batches in id order are in global timestamp order; across owners the
+  // streams are disjoint (an owner sees exactly the updates of its own
+  // vertices' edges), so this replay is equivalent to a sequential pass
+  // over the batch.
+  const std::size_t s_total = edges_.size();
   std::size_t inserted = 0, erased = 0, ignored = 0, dirty = 0;
-  for (int t = 0; t < s_total; ++t) {
-    auto& store = edges_[static_cast<std::size_t>(t)];
-    auto& posm = pos_[static_cast<std::size_t>(t)];
-    auto& freshv = fresh_tls_[static_cast<std::size_t>(t)];
-    const auto& mine = stage[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < s_total; ++t) {
+    auto& store = edges_[t];
+    auto& posm = pos_[t];
+    auto& freshv = fresh_tls_[t];
     std::unordered_set<std::uint64_t> droots;
-    for (std::size_t k = 0; k + 2 <= mine.size(); k += 2) {
-      const graph::VertexId u = mine[k];
-      const graph::VertexId v = mine[k + 1] >> 1;
-      const bool erase = (mine[k + 1] & 1) != 0;
-      assert(u < n_ && v < n_);
-      const std::uint64_t key = pair_key(u, v);
-      if (!erase) {
-        if (u == v) {
-          ++ignored;
-          continue;
+    for (std::size_t j = 0; j < s_total; ++j) {
+      for (const auto& [u, vk] : stage_[t * s_total + j]) {
+        const graph::VertexId v = vk >> 1;
+        const bool erase = (vk & 1) != 0;
+        assert(u < n_ && v < n_);
+        const std::uint64_t key = pair_key(u, v);
+        if (!erase) {
+          if (u == v) {
+            ++ignored;
+            continue;
+          }
+          const auto [it, fresh] = posm.emplace(key, store.size());
+          if (!fresh) {
+            ++ignored;
+            continue;
+          }
+          store.push_back({u, v});
+          freshv.push_back({u, v});
+          ++inserted;
+        } else {
+          const auto it = posm.find(key);
+          if (it == posm.end()) {
+            ++ignored;
+            continue;
+          }
+          // The erased edge's component (pre-batch label) becomes dirty:
+          // its connectivity may have split.
+          droots.insert(d_.raw(u));
+          const std::size_t slot = it->second;
+          posm.erase(it);
+          const graph::Edge moved = store.back();
+          store[slot] = moved;
+          store.pop_back();
+          if (slot < store.size()) posm[pair_key(moved.u, moved.v)] = slot;
+          ++erased;
         }
-        const auto [it, fresh] = posm.emplace(key, store.size());
-        if (!fresh) {
-          ++ignored;
-          continue;
-        }
-        store.push_back({u, v});
-        freshv.push_back({u, v});
-        ++inserted;
-      } else {
-        const auto it = posm.find(key);
-        if (it == posm.end()) {
-          ++ignored;
-          continue;
-        }
-        // The erased edge's component (pre-batch label) becomes dirty:
-        // its connectivity may have split.
-        droots.insert(d_.raw(u));
-        const std::size_t slot = it->second;
-        posm.erase(it);
-        const graph::Edge moved = store.back();
-        store[slot] = moved;
-        store.pop_back();
-        if (slot < store.size()) posm[pair_key(moved.u, moved.v)] = slot;
-        ++erased;
       }
     }
     dirty += droots.size();
@@ -291,7 +268,7 @@ void DynamicGraph::ingest(std::span<const graph::EdgeUpdate> ops,
   st.ignored = ignored;
   st.dirty_components = dirty;
   for (const auto& f : fresh_tls_) st.fresh_edges += f.size();
-  st.ingest = core::collect_costs(rt_, secs_since(t0));
+  st.ingest = core::collect_costs(rt_, t0);
 }
 
 void DynamicGraph::rebuild(BatchStats& st) {
@@ -323,7 +300,7 @@ void DynamicGraph::rebuild(BatchStats& st) {
   });
   st.rebuilt = true;
   st.iterations = res.iterations;
-  st.maintain = core::collect_costs(rt_, secs_since(t0));
+  st.maintain = core::collect_costs(rt_, t0);
 }
 
 void DynamicGraph::publish(BatchStats& st) {
@@ -375,7 +352,7 @@ void DynamicGraph::publish(BatchStats& st) {
   snap_epoch_[slot] = epoch_;
   snap_valid_[slot] = true;
   st.epoch = epoch_;
-  st.publish = core::collect_costs(rt_, secs_since(t0));
+  st.publish = core::collect_costs(rt_, t0);
 }
 
 BatchStats DynamicGraph::apply_batch(std::span<const graph::EdgeUpdate> ops) {
@@ -558,7 +535,7 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
   // cost) — the serving layer's coalescer never flushes an empty window,
   // but a fully-cached one resolves without touching the runtime.
   if (q.same_component.empty() && q.component_size.empty()) {
-    res.costs = core::collect_costs(rt_, secs_since(t0));
+    res.costs = core::collect_costs(rt_, t0);
     return res;
   }
 
@@ -634,7 +611,7 @@ QueryResult DynamicGraph::query(const QueryBatch& q) {
     }
   }
 
-  res.costs = core::collect_costs(rt_, secs_since(t0));
+  res.costs = core::collect_costs(rt_, t0);
   return res;
 }
 

@@ -131,13 +131,6 @@ class DynamicGraph {
   /// The runtime this stream charges — exposed so front ends (the query
   /// server's resilience layer) can read modeled time and fault state.
   pgas::Runtime& runtime() { return rt_; }
-  /// Epoch the ring retains just below the latest one, if any: the
-  /// staleness bound for degraded serving (docs/SERVING.md).
-  bool previous_epoch(std::uint64_t* e) const {
-    if (epoch_ == 0 || !has_epoch(epoch_ - 1)) return false;
-    *e = epoch_ - 1;
-    return true;
-  }
   /// Is `e` still queryable (published and not yet evicted from the ring)?
   /// The serving layer probes this instead of letting std::out_of_range
   /// escape a coalesced flush; see docs/SERVING.md.
@@ -191,6 +184,12 @@ class DynamicGraph {
   std::vector<std::unordered_map<std::uint64_t, std::size_t>> pos_;
   /// Fresh inserts of the current batch, collected per owner thread.
   std::vector<std::vector<graph::Edge>> fresh_tls_;
+  /// Ingest scratch, kept across batches: each thread's routed records
+  /// (pipeline workspace), and the (u, v<<1 | erase) records each owner
+  /// received, stage_[owner * s + requester], applied host-side after the
+  /// exchange.
+  std::vector<coll::CollWorkspace<std::uint64_t>> ingest_ws_;
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stage_;
 
   std::uint64_t epoch_ = 0;
   std::array<std::unique_ptr<pgas::GlobalArray<std::uint64_t>>, kEpochRing>

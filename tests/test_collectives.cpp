@@ -5,6 +5,8 @@
 
 #include <limits>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "collectives/getd.hpp"
 #include "collectives/setd.hpp"
@@ -14,18 +16,41 @@
 namespace pg = pgraph::pgas;
 namespace m = pgraph::machine;
 namespace c = pgraph::coll;
+namespace part = pgraph::partition;
 using pgraph::graph::Xoshiro256;
 
 namespace {
+
+/// Distribution of the swept arrays: the identity block layout, or a
+/// non-identity one whose global -> local map goes through the policy.
+enum class Layout { Block, Cyclic, Degree };
 
 struct Config {
   int nodes, threads;
   c::CollectiveOptions opt;
   const char* name;
+  Layout layout = Layout::Block;
 };
 
 std::ostream& operator<<(std::ostream& os, const Config& c) {
   return os << c.name << "(" << c.nodes << "x" << c.threads << ")";
+}
+
+/// The partitioning of an n-element test array under `cfg`; the degree
+/// layout gets a skewed synthetic degree histogram (every 7th vertex hot).
+part::Partitioning layout(const Config& cfg, std::size_t n, int s) {
+  switch (cfg.layout) {
+    case Layout::Cyclic:
+      return part::Partitioning::cyclic(n, s);
+    case Layout::Degree: {
+      std::vector<std::uint32_t> deg(n, 1);
+      for (std::size_t i = 0; i < n; i += 7) deg[i] = 40;
+      return part::Partitioning::degree_aware(n, s, deg);
+    }
+    case Layout::Block:
+      break;
+  }
+  return part::Partitioning::block(n, s);
 }
 
 std::vector<Config> configs() {
@@ -51,6 +76,10 @@ std::vector<Config> configs() {
   out.push_back({2, 3, hier, "hierarchical"});
   out.push_back({4, 4, hier, "hierarchical-4x4"});
   out.push_back({1, 4, hier, "hierarchical-1node"});
+  out.push_back({2, 3, base, "cyclic", Layout::Cyclic});
+  out.push_back({4, 2, optd, "cyclic-optimized", Layout::Cyclic});
+  out.push_back({2, 3, base, "degree", Layout::Degree});
+  out.push_back({4, 2, hier, "degree-hierarchical", Layout::Degree});
   return out;
 }
 
@@ -63,7 +92,8 @@ TEST_P(CollectivesP, GetDReturnsRequestedValues) {
   pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
                  m::CostParams::hps_cluster());
   const std::size_t n = 701;  // awkward size
-  pg::GlobalArray<std::uint64_t> d(rt, n);
+  pg::GlobalArray<std::uint64_t> d(
+      rt, n, layout(cfg, n, rt.topo().total_threads()));
   for (std::size_t i = 0; i < n; ++i) d.raw(i) = 1000 + i * 3;
   d.raw(0) = 0;  // offload contract: D[0] == 0
   c::CollectiveContext cc(rt);
@@ -95,7 +125,7 @@ TEST_P(CollectivesP, SetDWritesAllValues) {
                  m::CostParams::hps_cluster());
   const std::size_t n = 512;
   const int s = rt.topo().total_threads();
-  pg::GlobalArray<std::uint64_t> d(rt, n);
+  pg::GlobalArray<std::uint64_t> d(rt, n, layout(cfg, n, s));
   for (std::size_t i = 0; i < n; ++i) d.raw(i) = UINT64_MAX;
   c::CollectiveContext cc(rt);
 
@@ -120,7 +150,8 @@ TEST_P(CollectivesP, SetDArbitraryPicksOneOfTheProposals) {
   pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
                  m::CostParams::hps_cluster());
   const std::size_t n = 64;
-  pg::GlobalArray<std::uint64_t> d(rt, n);
+  pg::GlobalArray<std::uint64_t> d(
+      rt, n, layout(cfg, n, rt.topo().total_threads()));
   for (std::size_t i = 0; i < n; ++i) d.raw(i) = 0;
   c::CollectiveContext cc(rt);
 
@@ -148,7 +179,8 @@ TEST_P(CollectivesP, SetDMinKeepsTheMinimum) {
   pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
                  m::CostParams::hps_cluster());
   const std::size_t n = 128;
-  pg::GlobalArray<std::uint64_t> d(rt, n);
+  pg::GlobalArray<std::uint64_t> d(
+      rt, n, layout(cfg, n, rt.topo().total_threads()));
   for (std::size_t i = 0; i < n; ++i) d.raw(i) = UINT64_MAX;
   c::CollectiveContext cc(rt);
 
@@ -180,7 +212,7 @@ TEST_P(CollectivesP, SetDMinTwoWordRecords) {
   pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
                  m::CostParams::hps_cluster());
   const std::size_t n = 40;
-  pg::GlobalArray<Rec> d(rt, n);
+  pg::GlobalArray<Rec> d(rt, n, layout(cfg, n, rt.topo().total_threads()));
   c::CollectiveContext cc(rt);
 
   rt.run([&](pg::ThreadCtx& ctx) {
@@ -200,6 +232,37 @@ TEST_P(CollectivesP, SetDMinTwoWordRecords) {
     EXPECT_EQ(d.raw(i).key, 0u);
     EXPECT_EQ(d.raw(i).info, 1000u);
   }
+}
+
+TEST_P(CollectivesP, SetDAddSumsDuplicates) {
+  const Config cfg = GetParam();
+  pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
+                 m::CostParams::hps_cluster());
+  const std::size_t n = 96;
+  const int s = rt.topo().total_threads();
+  pg::GlobalArray<std::uint64_t> d(rt, n, layout(cfg, n, s));
+  for (std::size_t i = 0; i < n; ++i) d.raw(i) = 0;
+  c::CollectiveContext cc(rt);
+
+  // Every thread adds (t + 1) and (i + 1) to every cell: duplicates within
+  // one thread's batch and across threads must all be summed.
+  rt.run([&](pg::ThreadCtx& ctx) {
+    const std::uint64_t t = static_cast<std::uint64_t>(ctx.id());
+    std::vector<std::uint64_t> idx, val;
+    for (std::size_t i = 0; i < n; ++i) {
+      idx.push_back(i);
+      val.push_back(t + 1);
+      idx.push_back(n - 1 - i);
+      val.push_back(n - i);
+    }
+    c::CollWorkspace<std::uint64_t> ws;
+    c::setd_add(ctx, d, idx, std::span<const std::uint64_t>(val), cfg.opt,
+                cc, ws);
+    ctx.barrier();
+  });
+  const std::uint64_t us = static_cast<std::uint64_t>(s);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(d.raw(i), us * (us + 1) / 2 + us * (i + 1)) << "cell " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CollectivesP, ::testing::ValuesIn(configs()));
@@ -459,4 +522,141 @@ TEST(CollectivesDegenerate, EmptyGetDSteadyStateIsMessageFree) {
   EXPECT_EQ(steady.fine_messages, 0u);
   round(false);  // wake up again: values must still be served fresh
   EXPECT_EQ(bad, std::vector<int>(8, 0));
+}
+
+// --- pinned modeled charges -------------------------------------------------
+// One fixed request pattern per collective and configuration, with the
+// modeled charges it produced recorded: per-category ns summed over threads,
+// messages, bytes, fault retransmits and the modeled finish time.  Any change
+// to what GetD / SetD / SetDMin / SetDAdd charge fails here first; a change
+// that is intended re-records the table.  The two corrupt= plans lock the
+// checksum-retransmit charges, which no committed bench baseline covers.
+
+#include <array>
+#include <memory>
+
+#include "fault/fault.hpp"
+#include "machine/phase_stats.hpp"
+
+namespace {
+
+namespace flt = pgraph::fault;
+
+enum class Op { GetD, SetD, SetDMin, SetDAdd };
+constexpr const char* kOpNames[] = {"getd", "setd", "setd_min", "setd_add"};
+
+struct Charges {
+  std::array<double, m::kNumCats> ns{};  ///< summed over threads
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t retransmits = 0;
+  double modeled_ns = 0;
+};
+
+struct Pinned {
+  const char* config;  ///< Config printed as in the CollectivesP names
+  const char* op;
+  Charges want;
+};
+
+/// The swept configurations plus two payload-corruption plans.
+std::vector<std::pair<Config, const char*>> pinned_configs() {
+  std::vector<std::pair<Config, const char*>> out;
+  for (const Config& cfg : configs()) out.emplace_back(cfg, nullptr);
+  auto hier = c::CollectiveOptions::optimized();
+  hier.hierarchical = true;
+  out.emplace_back(Config{2, 3, c::CollectiveOptions::optimized(4),
+                          "optimized+corrupt"},
+                   "corrupt=0.3");
+  out.emplace_back(Config{4, 2, hier, "hierarchical+corrupt", Layout::Cyclic},
+                   "corrupt=0.3");
+  return out;
+}
+
+Charges run_pinned(const Config& cfg, const char* faults, Op op) {
+  pg::Runtime rt(pg::Topology::cluster(cfg.nodes, cfg.threads),
+                 m::CostParams::hps_cluster());
+  std::unique_ptr<flt::FaultInjector> inj;
+  if (faults != nullptr) {
+    inj = std::make_unique<flt::FaultInjector>(
+        flt::FaultConfig::parse(faults, 7));
+    rt.set_fault_injector(inj.get());
+  }
+  const std::size_t n = 701;
+  const int s = rt.topo().total_threads();
+  pg::GlobalArray<std::uint64_t> d(rt, n, layout(cfg, n, s));
+  for (std::size_t i = 0; i < n; ++i) d.raw(i) = i == 0 ? 0 : 1000 + i * 3;
+  c::CollectiveContext cc(rt);
+  std::vector<m::PhaseStats> per(static_cast<std::size_t>(s));
+  rt.run([&](pg::ThreadCtx& ctx) {
+    Xoshiro256 rng(300 + ctx.id());
+    const std::size_t mreq = 97 + 13 * static_cast<std::size_t>(ctx.id());
+    std::vector<std::uint64_t> idx(mreq), val(mreq), out(mreq);
+    for (auto& x : idx) x = rng.next_below(n);
+    for (auto& v : val) v = rng.next_below(1000);
+    idx[0] = 0;
+    c::CollWorkspace<std::uint64_t> ws;
+    const std::span<const std::uint64_t> vals(val);
+    switch (op) {
+      case Op::GetD:
+        c::getd(ctx, d, idx, std::span<std::uint64_t>(out), cfg.opt, cc, ws,
+                c::KnownElement{0, 0});
+        break;
+      case Op::SetD:
+        c::setd(ctx, d, idx, vals, cfg.opt, cc, ws);
+        break;
+      case Op::SetDMin:
+        c::setd_min(ctx, d, idx, vals, cfg.opt, cc, ws);
+        break;
+      case Op::SetDAdd:
+        c::setd_add(ctx, d, idx, vals, cfg.opt, cc, ws);
+        break;
+    }
+    per[static_cast<std::size_t>(ctx.id())] = ctx.stats();
+  });
+  Charges got;
+  for (const m::PhaseStats& st : per)
+    for (std::size_t k = 0; k < m::kNumCats; ++k)
+      got.ns[k] += st.get(static_cast<m::Cat>(k));
+  got.messages = rt.net().total_messages();
+  got.bytes = rt.net().total_bytes();
+  got.retransmits = inj ? inj->counters().retransmits : 0;
+  got.modeled_ns = rt.modeled_time_ns();
+  return got;
+}
+
+// clang-format off
+const Pinned kPinned[] = {
+#include "collective_charges_pinned.inc"
+};
+// clang-format on
+
+}  // namespace
+
+TEST(CollectiveChargesPinned, EveryOpAndConfigMatchesTheRecordedModel) {
+  std::size_t checked = 0, retransmitting = 0;
+  for (const auto& [cfg, faults] : pinned_configs()) {
+    std::ostringstream name;
+    name << cfg;
+    for (int o = 0; o < 4; ++o) {
+      const Pinned* pin = nullptr;
+      for (const Pinned& p : kPinned)
+        if (name.str() == p.config && std::string(kOpNames[o]) == p.op)
+          pin = &p;
+      ASSERT_NE(pin, nullptr) << name.str() << " " << kOpNames[o];
+      const Charges got = run_pinned(cfg, faults, static_cast<Op>(o));
+      const std::string where = name.str() + " " + kOpNames[o];
+      for (std::size_t k = 0; k < m::kNumCats; ++k)
+        EXPECT_EQ(got.ns[k], pin->want.ns[k])
+            << where << " " << m::kCatNames[k];
+      EXPECT_EQ(got.messages, pin->want.messages) << where;
+      EXPECT_EQ(got.bytes, pin->want.bytes) << where;
+      EXPECT_EQ(got.retransmits, pin->want.retransmits) << where;
+      EXPECT_EQ(got.modeled_ns, pin->want.modeled_ns) << where;
+      ++checked;
+      if (got.retransmits > 0) ++retransmitting;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPinned));
+  EXPECT_GT(retransmitting, 0u);  // the corrupt= plans reach the retry loop
 }

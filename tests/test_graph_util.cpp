@@ -38,6 +38,22 @@ TEST(Csr, WeightedParallelArrays) {
     EXPECT_EQ(w[i], nb[i] == 0 ? 10u : 20u);
 }
 
+TEST(Csr, SelfLoopListsBothArcs) {
+  // A self loop is two arcs v -> v: both land in v's list, in edge order,
+  // and no slot is left unwritten.
+  g::WEdgeList el;
+  el.n = 3;
+  el.edges = {{2, 2, 7}, {1, 2, 5}};
+  const g::Csr csr(el);
+  const auto nb = csr.neighbors(2);
+  const auto w = csr.weights(2);
+  ASSERT_EQ(nb.size(), 3u);
+  EXPECT_EQ(std::vector<g::VertexId>(nb.begin(), nb.end()),
+            (std::vector<g::VertexId>{2, 2, 1}));
+  EXPECT_EQ(std::vector<g::Weight>(w.begin(), w.end()),
+            (std::vector<g::Weight>{7, 7, 5}));
+}
+
 TEST(Csr, UnweightedHasEmptyWeights) {
   const g::Csr csr(g::path_graph(5));
   EXPECT_TRUE(csr.weights(0).empty());

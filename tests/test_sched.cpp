@@ -16,14 +16,34 @@ namespace s = pgraph::sched;
 namespace m = pgraph::machine;
 using pgraph::graph::Xoshiro256;
 
+namespace {
+/// Sort `in` by value through the two-pass count sort, keeping the rank.
+void sort_ranked(const std::vector<std::uint64_t>& in, std::size_t nbuckets,
+                 std::vector<std::uint64_t>& sorted,
+                 std::vector<std::uint32_t>& rank,
+                 std::vector<std::size_t>& off) {
+  const auto key = [&](std::size_t i) {
+    return static_cast<std::size_t>(in[i]);
+  };
+  sorted.resize(s::count_sort_offsets(in.size(), nbuckets, key, off));
+  rank.resize(sorted.size());
+  std::vector<std::size_t> cursor;
+  s::count_sort_scatter(
+      in.size(), key,
+      [&](std::size_t i, std::size_t pos) {
+        sorted[pos] = in[i];
+        rank[pos] = static_cast<std::uint32_t>(i);
+      },
+      off, cursor);
+}
+}  // namespace
+
 TEST(CountSort, StableAndRanked) {
   const std::vector<std::uint64_t> in = {5, 1, 4, 1, 3, 5, 0};
-  std::vector<std::uint64_t> sorted(in.size());
-  std::vector<std::uint32_t> rank(in.size());
+  std::vector<std::uint64_t> sorted;
+  std::vector<std::uint32_t> rank;
   std::vector<std::size_t> off;
-  s::count_sort<std::uint64_t>(
-      in, [](std::uint64_t x) { return static_cast<std::size_t>(x); }, 6,
-      sorted, rank, off);
+  sort_ranked(in, 6, sorted, rank, off);
   EXPECT_EQ(sorted, (std::vector<std::uint64_t>{0, 1, 1, 3, 4, 5, 5}));
   // Stability: the two 1s keep input order (positions 1 then 3), the two
   // 5s keep order (0 then 5).
@@ -43,10 +63,25 @@ TEST(CountSort, EmptyInput) {
   std::vector<std::uint64_t> in, sorted;
   std::vector<std::uint32_t> rank;
   std::vector<std::size_t> off;
-  s::count_sort<std::uint64_t>(
-      in, [](std::uint64_t x) { return static_cast<std::size_t>(x); }, 4,
-      sorted, rank, off);
+  sort_ranked(in, 4, sorted, rank, off);
   EXPECT_EQ(off, (std::vector<std::size_t>{0, 0, 0, 0, 0}));
+  EXPECT_TRUE(sorted.empty());
+}
+
+TEST(CountSort, DroppedKeysAreLeftOut) {
+  // kDropped items take no bucket and no position; the rest stay stable.
+  const std::vector<std::uint64_t> in = {2, 9, 0, 2, 9, 1};
+  const auto key = [&](std::size_t i) {
+    return in[i] == 9 ? s::kDropped : static_cast<std::size_t>(in[i]);
+  };
+  std::vector<std::size_t> off, cursor;
+  ASSERT_EQ(s::count_sort_offsets(in.size(), 3, key, off), 4u);
+  EXPECT_EQ(off, (std::vector<std::size_t>{0, 1, 2, 4}));
+  std::vector<std::size_t> from(4);
+  s::count_sort_scatter(
+      in.size(), key, [&](std::size_t i, std::size_t pos) { from[pos] = i; },
+      off, cursor);
+  EXPECT_EQ(from, (std::vector<std::size_t>{2, 5, 0, 3}));
 }
 
 namespace {

@@ -55,9 +55,10 @@ core::ParCCResult fresh_cc(const g::EdgeList& el) {
 /// batches, asserting bit-identity against a fresh cc_coalesced run on the
 /// materialized edge set after every single batch.
 void check_stream_bit_identity(const g::TemporalStream& ts,
-                               std::size_t batch, int nodes, int threads) {
+                               std::size_t batch, int nodes, int threads,
+                               strm::DynamicGraph::Options opt = {}) {
   pg::Runtime rt = make_rt(nodes, threads);
-  strm::DynamicGraph dg(rt, ts.base);
+  strm::DynamicGraph dg(rt, ts.base, opt);
   ASSERT_EQ(labels_of(dg), fresh_cc(ts.base).labels);
 
   std::size_t rebuilt = 0;
@@ -110,6 +111,29 @@ TEST(StreamBitIdentity, RmatBaseAndOddTopology) {
   p.delete_frac = 0.2;
   const auto ts = g::temporal_stream(256, 200, 7, p);
   check_stream_bit_identity(ts, 40, 3, 2);
+}
+
+TEST(StreamBitIdentity, HierarchicalCollectives) {
+  // Ingest, maintenance and publish all on node-combined exchanges: each
+  // owner's ingest record batches travel as one message per remote node,
+  // like GetD/SetD's, and the labels stay bit-identical.
+  g::TemporalStreamParams p;
+  p.base_edges = 300;
+  p.delete_frac = 0.25;
+  const auto ts = g::temporal_stream(300, 300, 5, p);
+  strm::DynamicGraph::Options opt;
+  opt.cc.coll.hierarchical = true;
+  check_stream_bit_identity(ts, 50, 4, 2, opt);
+
+  // Per ingest exchange: one count/offset tile per ordered node pair, and
+  // each owner's record batches combined into one message per remote node
+  // (flat mode posts one per remote thread).
+  pg::Runtime rt = make_rt(4, 2);
+  strm::DynamicGraph dg(rt, ts.base, opt);
+  const auto st = dg.apply_batch(
+      std::span<const g::EdgeUpdate>(ts.updates).subspan(0, 120));
+  EXPECT_GT(st.ingest.messages, 0u);
+  EXPECT_LE(st.ingest.messages, 4u * 3u + 8u * 3u);
 }
 
 TEST(StreamBitIdentity, SparseBaseManySingletons) {
